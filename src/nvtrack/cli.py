@@ -37,10 +37,9 @@ def _verify_parser(sub) -> None:
     p.add_argument("--pids", type=int, default=2)
     p.add_argument("--ops-per-pid", type=int, default=2)
     p.add_argument("--max-crashes", type=int, default=1)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true", default=True)
-    group.add_argument("--samples", type=int, default=None,
-                       help="sample this many crash points per pattern")
+    p.add_argument("--samples", type=int, default=None,
+                   help="sample this many crash points per pattern "
+                        "(default: every crash point)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--budget", type=int, default=600,
                    help="per-operation step budget")

@@ -45,13 +45,6 @@ class StructureAdapter:
     strict_exempt: tuple = ("find", "contains")
 
 
-def _reinvoking(fn_name):
-    def recover(obj, pid, *args):
-        obj.m.invoke_reset(pid)
-        return getattr(obj, fn_name)(pid, *args)
-    return recover
-
-
 def _timed_exchange_call(obj, pid, value):
     m = obj.m
     m.write(pid, m.ctx(pid).rd, UNSET)
@@ -190,40 +183,51 @@ class RunOutcome:
     label: str = ""
 
 
-def _workload_to_queues(adapter: StructureAdapter, workload: dict) -> dict:
-    return {
-        pid: [(adapter.ops[name], args) for name, args in ops]
-        for pid, ops in workload.items()
-    }
-
-
-def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
-                 *, setup: Sequence = (), cache: str = "durable", policy=None,
-                 seed: int = 0, step_budget: int = 10_000, trace: bool = False,
-                 label: str = "") -> RunOutcome:
-    """Execute exactly the given interleaving, then drain to completion."""
-    nprocs = max(workload) + 1 if workload else 1
-    rt = SimRuntime(nprocs, cache=cache, policy=policy, seed=seed,
-                    step_budget=step_budget, trace=trace)
+def _prepared_runtime(adapter: StructureAdapter, nprocs: int, setup: Sequence,
+                      **rt_kwargs) -> tuple:
+    """A fresh runtime with the structure built and ``setup`` run unrecorded."""
+    rt = SimRuntime(nprocs, **rt_kwargs)
     obj = rt.bind(adapter.make(rt))
     if setup:
         rt.record(False)
         for name, args in setup:
             rt.invoke(0, adapter.ops[name], args)
         rt.record(True)
-    rt.start_workers(_workload_to_queues(adapter, workload))
+    return rt, obj
+
+
+def _fire_due_crashes(rt: SimRuntime, crashes: list, orders: list,
+                      granted: int, nprocs: int) -> None:
+    """Fire each crash due by ``granted`` steps, then dispatch recoveries."""
+    while crashes and crashes[0] <= granted:
+        crashes.pop(0)
+        order = orders.pop(0) if orders else tuple(range(nprocs))
+        rt.crash()
+        for rpid in order:
+            if rpid in rt.crashed_pids():
+                rt.dispatch_recovery(rpid)
+
+
+def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
+                 *, setup: Sequence = (), cache: str = "durable", policy=None,
+                 seed: int = 0, step_budget: int = 10_000, trace: bool = False,
+                 label: str = "") -> RunOutcome:
+    """Execute exactly the given interleaving, then drain to completion.
+
+    An exception raised inside an operation or recovery propagates out of
+    this call once every worker has been stopped."""
+    nprocs = max(workload) + 1 if workload else 1
+    rt, obj = _prepared_runtime(adapter, nprocs, setup, cache=cache, policy=policy,
+                                seed=seed, step_budget=step_budget, trace=trace)
+    rt.start_workers({pid: [(adapter.ops[name], args) for name, args in ops]
+                      for pid, ops in workload.items()})
     granted = 0
     crashes = list(schedule.crashes)
     orders = list(schedule.recovery_orders)
     try:
         for pid in schedule.stream():
-            while crashes and crashes[0] == granted:
-                crashes.pop(0)
-                order = orders.pop(0) if orders else tuple(range(nprocs))
-                rt.crash()
-                for rpid in order:
-                    if rpid in rt.crashed_pids():
-                        rt.dispatch_recovery(rpid)
+            if crashes and crashes[0] <= granted:
+                _fire_due_crashes(rt, crashes, orders, granted, nprocs)
             if rt.grant_step(pid):
                 granted += 1
             if rt.all_done() and not crashes:
@@ -232,13 +236,7 @@ def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
         cap = step_budget * nprocs * 3 + 1024
         spins = 0
         while not rt.all_done() and spins < cap:
-            while crashes and crashes[0] <= granted:
-                crashes.pop(0)
-                order = orders.pop(0) if orders else tuple(range(nprocs))
-                rt.crash()
-                for rpid in order:
-                    if rpid in rt.crashed_pids():
-                        rt.dispatch_recovery(rpid)
+            _fire_due_crashes(rt, crashes, orders, granted, nprocs)
             progressed = False
             for pid in range(nprocs):
                 if pid in rt.crashed_pids():
@@ -261,17 +259,13 @@ def run_direct(adapter: StructureAdapter, ops: Sequence, *, setup: Sequence = ()
                step_budget: int = 100_000, crash_steps: Sequence[int] = (),
                trace: bool = False, label: str = "",
                on_crash: Optional[Callable] = None) -> RunOutcome:
-    """Single-process run on the calling thread, with planned crash steps."""
-    rt = SimRuntime(1, cache=cache, policy=policy, seed=seed,
-                    step_budget=step_budget, trace=trace)
-    obj = rt.bind(adapter.make(rt))
+    """Single-process run on the calling thread, with planned crash steps.
+
+    An exception raised inside an operation or recovery propagates."""
+    rt, obj = _prepared_runtime(adapter, 1, setup, cache=cache, policy=policy,
+                                seed=seed, step_budget=step_budget, trace=trace)
     if on_crash is not None:
         rt.on_crash = lambda: on_crash(obj, rt)
-    if setup:
-        rt.record(False)
-        for name, args in setup:
-            rt.invoke(0, adapter.ops[name], args)
-        rt.record(True)
     base = rt.steps               # crash indices are relative to the workload
     bound = [(adapter.ops[name], args) for name, args in ops]
     finished = rt.run_ops_direct(0, bound, [base + c for c in crash_steps])
@@ -299,11 +293,12 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
     rng = random.Random(seed)
     rec_orders = list(itertools.permutations(range(nprocs))) if nprocs > 1 \
         else [(0,)]
+    common = dict(setup=setup, seed=seed, step_budget=step_budget,
+                  cache=cache, policy=policy)
     for pattern in patterns:
         quanta = pattern_quanta(pattern, nprocs, step_budget * nprocs, seed)
-        probe = run_schedule(adapter, workload, Schedule(quanta), setup=setup,
-                             seed=seed, step_budget=step_budget, cache=cache,
-                             policy=policy, label=f"{pattern}/no-crash")
+        probe = run_schedule(adapter, workload, Schedule(quanta),
+                             label=f"{pattern}/no-crash", **common)
         yield probe
         if probe.inconclusive:
             continue
@@ -313,21 +308,16 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
             points = sorted(rng.sample(range(total), samples))
         for c in points:
             for order in rec_orders:
-                label = f"{pattern}/crash@{c}/order{order}"
-                yield run_schedule(
-                    adapter, workload,
-                    Schedule(quanta, crashes=(c,), recovery_orders=(order,)),
-                    setup=setup, seed=seed, step_budget=step_budget,
-                    cache=cache, policy=policy, label=label)
+                crash_sets = [(c,)]
                 if max_crashes >= 2:
-                    c2 = c + 1 + rng.randrange(max(1, total - c))
+                    crash_sets.append((c, c + 1 + rng.randrange(max(1, total - c))))
+                for crashes in crash_sets:
+                    at = ",".join(map(str, crashes))
                     yield run_schedule(
                         adapter, workload,
-                        Schedule(quanta, crashes=(c, c2),
-                                 recovery_orders=(order, order)),
-                        setup=setup, seed=seed, step_budget=step_budget,
-                        cache=cache, policy=policy,
-                        label=f"{pattern}/crash@{c},{c2}/order{order}")
+                        Schedule(quanta, crashes=crashes,
+                                 recovery_orders=(order,) * len(crashes)),
+                        label=f"{pattern}/crash@{at}/order{order}", **common)
 
 
 # ---------------------------------------------------------------------------

@@ -97,9 +97,6 @@ class RecoverableBst:
     def contains(self, p, k) -> bool:
         return self.find(p, k) is not None
 
-    def find_recover(self, p, k):
-        return self._reinvoke(p, self.find, k)
-
     def contains_recover(self, p, k) -> bool:
         return self._reinvoke(p, self.contains, k)
 

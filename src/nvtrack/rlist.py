@@ -104,6 +104,8 @@ class RecoverableList:
             while True:
                 succ = m.read(p, curr.next)
                 if succ.marked:
+                    if self._fp:                 # the mark persists before the unlink
+                        m.flush(p, curr.next)
                     if not m.cas(p, pred.next, MarkedRef(curr, False),
                                  MarkedRef(succ.ref, False), note="unlink"):
                         restart = True
@@ -189,10 +191,10 @@ class RecoverableList:
             m.flush(p, info.nd)
         while not m.read(p, curr.next).marked:
             succ = m.read(p, curr.next)
-            if m.cas(p, curr.next, MarkedRef(succ.ref, False),
-                     MarkedRef(succ.ref, True), note="mark"):
-                if self._fp:
-                    m.flush(p, curr.next)
+            m.cas(p, curr.next, MarkedRef(succ.ref, False),
+                  MarkedRef(succ.ref, True), note="mark")
+        if self._fp:               # whoever marked it, persist the mark first
+            m.flush(p, curr.next)
         succ = m.read(p, curr.next)
         m.cas(p, pred.next, MarkedRef(curr, False),
               MarkedRef(succ.ref, False), note="unlink")
@@ -246,13 +248,6 @@ class RecoverableList:
                 break
             node = node.next.p.ref
         return chain
-
-    def persisted_snapshot(self) -> set:
-        out = set()
-        for node in self.persisted_chain():
-            if KEY_MIN < node.key < KEY_MAX and not node.next.p.marked:
-                out.add(node.key)
-        return out
 
 
 class BaselineNode:

@@ -10,7 +10,9 @@ recovery-data reference ``rd``).  Two backends implement the API:
 * :class:`SimRuntime` -- a cooperative single-stepping backend where every
   shared-cell access is a scheduling point.  A deterministic driver (see
   ``harness``) interleaves logical processes step by step, injects
-  whole-system crashes, and dispatches recovery functions.
+  whole-system crashes, and dispatches recovery functions.  Every operation
+  and recovery runs, and records its history events, through one method;
+  every crash fires through another.
 
 Volatile-cache simulation keeps two values per cell: ``v`` (the cached value)
 and ``p`` (the persisted one).  A crash reverts unflushed cells to their
@@ -28,7 +30,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 log = logging.getLogger("nvtrack")
@@ -224,7 +226,6 @@ class NativeRuntime:
 
     def __init__(self, nprocs: int, *, seed: int = 0) -> None:
         self.nprocs = nprocs
-        self.seed = seed
         self._ctxs = [ProcessCtx(i) for i in range(nprocs)]
         self._cas_locks = [threading.Lock() for _ in range(_N_CAS_LOCKS)]
         if os.environ.get(_NO_FLUSH_ENV) == "1":
@@ -307,7 +308,8 @@ _PARKED, _GATE, _RUNNING, _DONE = "parked", "gate", "running", "done"
 
 
 class _Worker(threading.Thread):
-    """One logical process: runs queued operations, pausing at every gate."""
+    """One logical process: runs ``inflight`` (recovering it if ``crashed``)
+    each time the scheduler wakes it, pausing at every gate."""
 
     def __init__(self, rt: "SimRuntime", pid: int) -> None:
         super().__init__(name=f"simproc-{pid}", daemon=True)
@@ -315,13 +317,12 @@ class _Worker(threading.Thread):
         self.pid = pid
         self.state = _RUNNING          # becomes parked once the loop starts
         self.go = threading.Semaphore(0)
-        self.cmd: Optional[tuple] = None
-        self.granted = False
         self.crash_pending = False
         self.kill = False
         self.inflight: Optional[tuple[OpDef, tuple]] = None
         self.crashed = False
         self.abandoned = False
+        self.error: Optional[Exception] = None
         self.queue: list[tuple[OpDef, tuple]] = []
 
     # The worker only touches its own flags while the scheduler is blocked
@@ -329,68 +330,45 @@ class _Worker(threading.Thread):
 
     def run(self) -> None:
         rt = self.rt
-        while True:
-            self.state = _PARKED
-            rt._idle.release()
-            self.go.acquire()
-            if self.kill:
-                self.state = _DONE
-                rt._idle.release()
-                return
-            cmd, self.cmd = self.cmd, None
-            self.state = _RUNNING
-            if cmd is None or cmd[0] == "stop":
-                self.state = _DONE
-                rt._idle.release()
-                return
-            if not self._execute(cmd):
-                return
-
-    def _execute(self, cmd: tuple) -> bool:
-        rt = self.rt
         try:
-            if cmd[0] == "op":
-                opdef, args = cmd[1], cmd[2]
-                self.inflight = (opdef, args)
-                rt._op_steps[self.pid] = 0
-                rt._emit(Invoke(rt.steps, self.pid, opdef.name, args))
-                rt.invoke_reset(self.pid)
-                resp = opdef.call(rt.obj, self.pid, *args)
-                rt._emit_response(self.pid, opdef, args, resp, recovered=False)
-                self.inflight = None
-            else:  # recover
+            while True:
+                self.state = _PARKED
+                rt._idle.release()
+                self.go.acquire()
+                if self.kill:
+                    break
+                self.state = _RUNNING
                 opdef, args = self.inflight
-                rt._op_steps[self.pid] = 0
-                rt._emit(RecoverBegin(rt.steps, self.pid, opdef.name))
-                resp = opdef.recover(rt.obj, self.pid, *args)
-                rt._emit_response(self.pid, opdef, args, resp, recovered=True)
+                try:
+                    rt._run_op(self.pid, opdef, args, self.crashed)
+                except CrashUnwind:
+                    self.crashed = True
+                    continue
+                except StepBudgetExceeded:
+                    self.abandoned = True
                 self.inflight = None
                 self.crashed = False
-        except CrashUnwind:
-            self.crashed = True
-        except StepBudgetExceeded:
-            opdef = self.inflight[0]
-            rt._emit(Abandoned(rt.steps, self.pid, opdef.name))
-            self.inflight = None
-            self.crashed = False
-            self.abandoned = True
         except _KillWorker:
-            self.state = _DONE
-            rt._idle.release()
-            return False
-        return True
+            pass
+        except Exception as exc:       # re-raised by the scheduler
+            self.error = exc
+        self.state = _DONE
+        rt._idle.release()
 
 
 class SimRuntime:
     """Deterministic cooperative backend with crash injection.
 
-    Two driving modes share the cell semantics:
+    Every operation and recovery runs through :meth:`_run_op`, and every
+    crash through :meth:`crash`, in both driving modes:
 
     * *direct*: operations run synchronously on the calling thread
       (single-process workloads; optional planned crash steps).
     * *threaded*: one worker per process, advanced one shared-cell access at
       a time via :meth:`grant_step`, with :meth:`crash` and
-      :meth:`dispatch_recovery` available between steps.
+      :meth:`dispatch_recovery` available between steps.  An exception an
+      operation raises stops its worker and is re-raised by the call that
+      woke it.
     """
 
     kind = "sim"
@@ -403,7 +381,6 @@ class SimRuntime:
         self.nprocs = nprocs
         self.cache = cache
         self.policy = policy or CrashPolicy()
-        self.seed = seed
         self.step_budget = step_budget
         self.steps = 0
         self.obj: Any = None
@@ -456,25 +433,19 @@ class SimRuntime:
         if not self._threaded:
             if self._crash_plan and self.steps == self._crash_plan[0]:
                 self._crash_plan.pop(0)
-                self._apply_crash()
-                if self.on_crash is not None:
-                    self.on_crash()
+                self.crash()
                 raise CrashUnwind()
-            self._op_steps[pid] += 1
-            if self._op_steps[pid] > self.step_budget:
-                raise StepBudgetExceeded()
-            self.steps += 1
-            return
-        w = self._workers[pid]
-        w.state = _GATE
-        self._idle.release()
-        w.go.acquire()
-        w.state = _RUNNING
-        if w.kill:
-            raise _KillWorker()
-        if w.crash_pending:
-            w.crash_pending = False
-            raise CrashUnwind()
+        else:
+            w = self._workers[pid]
+            w.state = _GATE
+            self._idle.release()
+            w.go.acquire()
+            w.state = _RUNNING
+            if w.kill:
+                raise _KillWorker()
+            if w.crash_pending:
+                w.crash_pending = False
+                raise CrashUnwind()
         self._op_steps[pid] += 1
         if self._op_steps[pid] > self.step_budget:
             raise StepBudgetExceeded()
@@ -541,39 +512,28 @@ class SimRuntime:
 
     # -- crash semantics ----------------------------------------------------
 
-    def _apply_crash(self) -> None:
-        if self._record:
-            self.history.append(CrashEvent(self.steps))
+    def crash(self, policy: Optional[CrashPolicy] = None) -> None:
+        """Whole-system crash: fail in-flight ops, drop unflushed writes."""
+        if policy is not None:
+            self.policy = policy
+        if self._threaded:
+            if any(w.state == _RUNNING for w in self._workers):
+                raise RuntimeError("scheduler re-entered while a worker runs")
+            for w in self._workers:
+                if w.inflight is not None and w.state == _GATE:
+                    w.crash_pending = True
+                    self._release_and_wait(w)
+        self._emit(CrashEvent(self.steps))
         for cell in self._vcells:
             if cell.v is not cell.p and cell.v != cell.p:
                 if self.policy.survives(cell, self._rng):
                     cell.p = cell.v
                 else:
                     cell.v = cell.p
-
-    def crash(self, policy: Optional[CrashPolicy] = None) -> None:
-        """Whole-system crash: fail in-flight ops, drop unflushed writes."""
-        if policy is not None:
-            self.policy = policy
-        if not self._threaded:
-            self._apply_crash()
-            return
-        self._assert_quiescent()
-        if self._record:
-            self.history.append(CrashEvent(self.steps))
-        for w in self._workers:
-            if w.inflight is not None and w.state == _GATE:
-                w.crash_pending = True
-                w.go.release()
-                self._idle.acquire()
-        # cells revert after in-flight ops unwound (order is unobservable)
-        record, self._record = self._record, False
-        self._apply_crash()
-        self._record = record
         if self.on_crash is not None:
             self.on_crash()
 
-    # -- events -------------------------------------------------------------
+    # -- operations ---------------------------------------------------------
 
     def _emit(self, event: Any) -> None:
         if self._record:
@@ -585,13 +545,29 @@ class SimRuntime:
             return rd.result.p
         return UNSET
 
-    def _emit_response(self, pid: int, opdef: OpDef, args: tuple, resp: Any,
-                       *, recovered: bool) -> None:
-        if not self._record:
-            return
-        snap = self._persisted_result(pid) if opdef.is_update else UNSET
-        cls = RecoverResponse if recovered else Response
-        self.history.append(cls(self.steps, pid, opdef.name, resp, snap))
+    def _run_op(self, pid: int, opdef: OpDef, args: tuple, recovering: bool) -> Any:
+        """Run one call (or, if ``recovering``, one recovery) of ``opdef``
+        and record its events.  CrashUnwind propagates unrecorded;
+        StepBudgetExceeded is recorded as ``Abandoned`` and re-raised."""
+        self._op_steps[pid] = 0
+        if recovering:
+            self._emit(RecoverBegin(self.steps, pid, opdef.name))
+        else:
+            self._emit(Invoke(self.steps, pid, opdef.name, args))
+            self.invoke_reset(pid)
+        try:
+            resp = (opdef.recover if recovering else opdef.call)(self.obj, pid, *args)
+        except StepBudgetExceeded:
+            self._emit(Abandoned(self.steps, pid, opdef.name))
+            raise
+        if self._record:
+            snap = self._persisted_result(pid) if opdef.is_update else UNSET
+            if recovering:
+                self.history.append(
+                    RecoverResponse(self.steps, pid, opdef.name, resp, snap))
+            else:
+                self.history.append(Response(self.steps, pid, opdef.name, resp, snap))
+        return resp
 
     # -- direct driving -----------------------------------------------------
 
@@ -599,12 +575,7 @@ class SimRuntime:
         """Run one operation synchronously (direct mode, no planned crash)."""
         if self._threaded:
             raise RuntimeError("invoke() is only available before start_workers()")
-        self._op_steps[pid] = 0
-        self._emit(Invoke(self.steps, pid, opdef.name, args))
-        self.invoke_reset(pid)
-        resp = opdef.call(self.obj, pid, *args)
-        self._emit_response(pid, opdef, args, resp, recovered=False)
-        return resp
+        return self._run_op(pid, opdef, args, False)
 
     def run_ops_direct(self, pid: int, ops: Sequence[tuple[OpDef, tuple]],
                        crash_steps: Sequence[int] = ()) -> bool:
@@ -618,44 +589,18 @@ class SimRuntime:
         if self._threaded:
             raise RuntimeError("direct runs are unavailable after start_workers()")
         self._crash_plan = sorted(crash_steps)
-        for opdef, args in ops:
-            self._op_steps[pid] = 0
-            self._emit(Invoke(self.steps, pid, opdef.name, args))
-            self.invoke_reset(pid)
-            try:
-                resp = opdef.call(self.obj, pid, *args)
-                self._emit_response(pid, opdef, args, resp, recovered=False)
-            except CrashUnwind:
-                if not self._recover_direct(pid, opdef, args):
-                    return False
-            except StepBudgetExceeded:
-                self._emit(Abandoned(self.steps, pid, opdef.name))
-                return False
+        try:
+            for opdef, args in ops:
+                recovering = False
+                while True:
+                    try:
+                        self._run_op(pid, opdef, args, recovering)
+                        break
+                    except CrashUnwind:
+                        recovering = True
+        except StepBudgetExceeded:
+            return False
         return True
-
-    def _recover_direct(self, pid: int, opdef: OpDef, args: tuple) -> bool:
-        while True:
-            self._op_steps[pid] = 0
-            self._emit(RecoverBegin(self.steps, pid, opdef.name))
-            try:
-                resp = opdef.recover(self.obj, pid, *args)
-                self._emit_response(pid, opdef, args, resp, recovered=True)
-                return True
-            except CrashUnwind:
-                continue
-            except StepBudgetExceeded:
-                self._emit(Abandoned(self.steps, pid, opdef.name))
-                return False
-
-    def recover_dispatch(self, pid: int, opdef: OpDef, args: tuple = ()) -> Any:
-        """Direct-mode recovery dispatch for a process crashed via crash()."""
-        if self._threaded:
-            raise RuntimeError("use dispatch_recovery() in threaded mode")
-        self._op_steps[pid] = 0
-        self._emit(RecoverBegin(self.steps, pid, opdef.name))
-        resp = opdef.recover(self.obj, pid, *args)
-        self._emit_response(pid, opdef, args, resp, recovered=True)
-        return resp
 
     def record(self, on: bool) -> None:
         self._record = on
@@ -674,21 +619,17 @@ class SimRuntime:
             w.start()
             self._idle.acquire()   # wait until parked
 
-    def _assert_quiescent(self) -> None:
-        for w in self._workers:
-            if w.state == _RUNNING:
-                raise RuntimeError("scheduler re-entered while a worker runs")
-
     def _release_and_wait(self, w: _Worker) -> None:
         w.go.release()
         self._idle.acquire()
+        if w.error is not None:
+            raise w.error
 
     def grant_step(self, pid: int) -> bool:
         """Let ``pid`` perform its next shared-cell access. True if it did."""
         w = self._workers[pid]
         if w.state == _PARKED and w.inflight is None and not w.abandoned and w.queue:
-            opdef, args = w.queue.pop(0)
-            w.cmd = ("op", opdef, args)
+            w.inflight = w.queue.pop(0)
             self._release_and_wait(w)
         if w.state == _GATE:
             self._release_and_wait(w)
@@ -700,7 +641,6 @@ class SimRuntime:
         w = self._workers[pid]
         if not w.crashed or w.inflight is None or w.state != _PARKED:
             raise DispatchError(f"process {pid} has no failed operation to recover")
-        w.cmd = ("recover",)
         self._release_and_wait(w)
 
     def crashed_pids(self) -> list[int]:
@@ -721,12 +661,8 @@ class SimRuntime:
         if not self._threaded:
             return
         for w in self._workers:
-            if w.state == _GATE:
-                w.kill = True
-                w.go.release()
-                self._idle.acquire()
-            if w.state == _PARKED:
-                w.kill = True
+            w.kill = True
+            while w.state in (_GATE, _PARKED):
                 w.go.release()
                 self._idle.acquire()
         for w in self._workers:

@@ -1,5 +1,8 @@
 """Scheduler determinism, history structure, and budget handling."""
 
+import dataclasses
+import threading
+
 import pytest
 
 from nvtrack.harness import (
@@ -13,6 +16,7 @@ from nvtrack.runtime import (
     Abandoned,
     CrashEvent,
     Invoke,
+    OpDef,
     RecoverBegin,
     Response,
 )
@@ -81,3 +85,36 @@ def test_recovery_order_is_respected():
     begins = [e.pid for e in out.history if isinstance(e, RecoverBegin)]
     assert len(begins) == 2     # both ops were in flight at step 4
     assert begins[0] == 1       # dispatch follows the given priority
+
+
+def _raising_list():
+    def boom(obj, pid, *args):
+        obj.m.read(pid, obj.head.next)      # fail mid-operation, after a gate
+        raise ValueError("boom")
+    ops = dict(LIST.ops, boom=OpDef("boom", boom, boom))
+    return dataclasses.replace(LIST, ops=ops)
+
+
+def test_raising_op_propagates_out_of_run_schedule_without_hanging():
+    adapter = _raising_list()
+    wl = {0: [("insert", (5,)), ("insert", (7,))], 1: [("boom", ())]}
+    seen = []
+
+    def run():
+        try:
+            run_schedule(adapter, wl, Schedule(pattern_quanta("rr1", 2, 100)))
+        except ValueError as exc:
+            seen.append(exc)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(10)
+    assert not t.is_alive()
+    assert [str(e) for e in seen] == ["boom"]
+    assert not [th.name for th in threading.enumerate()
+                if th.name.startswith("simproc-")]
+
+
+def test_raising_op_propagates_out_of_run_direct():
+    with pytest.raises(ValueError, match="boom"):
+        run_direct(_raising_list(), [("insert", (5,)), ("boom", ())])

@@ -253,3 +253,15 @@ def test_traversal_persists_unflushed_nodes_it_passes():
         if reader_flushes and writes_true:
             saw_reader_flush = True
     assert saw_reader_flush
+
+
+def test_flush_variant_persists_mark_before_unlink():
+    # A helper's unlink must not persist ahead of the mark it depends on:
+    # otherwise a crash keeps the unlink, drops the mark, and the deleter's
+    # recovery reports False for a key that vanished.
+    report = detectability_sweep(
+        FLUSH_LIST, {0: [("delete", (5,)), ("insert", (5,))],
+                     1: [("insert", (5,)), ("insert", (7,))]},
+        setup=(("insert", (5,)),), model_initial={5}, patterns=("rand0",),
+        seed=305, step_budget=600, cache="volatile")
+    assert report.passed, report.violations[:1]
