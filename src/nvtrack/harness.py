@@ -11,13 +11,16 @@ complete unless an operation blows its step budget (reported inconclusive).
 interleaving pattern it probes the crash-free run length, then replays the
 pattern with a crash at every step index (or a seeded sample of them) under
 every recovery order.  :func:`detectability_sweep` bundles that with the
-crash-extended linearizability and strict-recoverability checks.
+crash-extended linearizability and strict-recoverability checks; a run whose
+operation or recovery raises is reported as an errored violation instead of
+aborting the sweep.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -181,6 +184,7 @@ class RunOutcome:
     granted: int
     inconclusive: bool
     label: str = ""
+    error: str = ""          # traceback of an exception the run raised
 
 
 def _prepared_runtime(adapter: StructureAdapter, nprocs: int, setup: Sequence,
@@ -287,7 +291,9 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
 
     The zero-crash run of each pattern is yielded first (plain interleaving
     exploration).  With ``samples`` set, crash indices are a seeded random
-    subset instead of the full range.
+    subset instead of the full range.  A run that raises is yielded with an
+    empty history and the traceback in ``error``; when the zero-crash run
+    raises, that pattern's crash points are skipped.
     """
     nprocs = max(workload) + 1 if workload else 1
     rng = random.Random(seed)
@@ -295,12 +301,19 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
         else [(0,)]
     common = dict(setup=setup, seed=seed, step_budget=step_budget,
                   cache=cache, policy=policy)
+
+    def run(schedule, label):
+        try:
+            return run_schedule(adapter, workload, schedule, label=label, **common)
+        except Exception:
+            return RunOutcome([], None, None, schedule, 0, False, label,
+                              error=traceback.format_exc())
+
     for pattern in patterns:
         quanta = pattern_quanta(pattern, nprocs, step_budget * nprocs, seed)
-        probe = run_schedule(adapter, workload, Schedule(quanta),
-                             label=f"{pattern}/no-crash", **common)
+        probe = run(Schedule(quanta), f"{pattern}/no-crash")
         yield probe
-        if probe.inconclusive:
+        if probe.inconclusive or probe.error:
             continue
         total = probe.granted
         points = range(total)
@@ -313,11 +326,9 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
                     crash_sets.append((c, c + 1 + rng.randrange(max(1, total - c))))
                 for crashes in crash_sets:
                     at = ",".join(map(str, crashes))
-                    yield run_schedule(
-                        adapter, workload,
-                        Schedule(quanta, crashes=crashes,
-                                 recovery_orders=(order,) * len(crashes)),
-                        label=f"{pattern}/crash@{at}/order{order}", **common)
+                    yield run(Schedule(quanta, crashes=crashes,
+                                       recovery_orders=(order,) * len(crashes)),
+                              f"{pattern}/crash@{at}/order{order}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +358,15 @@ def detectability_sweep(adapter: StructureAdapter, workload: dict, *,
                         setup: Sequence = (), model_initial=None,
                         check_responses: Optional[Callable] = None,
                         **enum_kwargs) -> SweepReport:
-    """Enumerate crash placements and check every history."""
+    """Enumerate crash placements and check every history; a run that
+    raised is counted as a violation labelled ``[errored]``."""
     report = SweepReport()
     for outcome in enumerate_crash_points(adapter, workload, setup=setup,
                                           **enum_kwargs):
         report.total += 1
+        if outcome.error:
+            report.violations.append((outcome.label + " [errored]", outcome.error))
+            continue
         model = adapter.model(model_initial) if model_initial is not None \
             else adapter.model()
         verdict = check_nrl(outcome.history, model)

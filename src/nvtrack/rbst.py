@@ -15,7 +15,11 @@ record from ``rd``; if the flag is still installed it helps itself, then the
 The tree always holds two sentinel keys (the two largest values of the key
 domain) which are never removed, so it never shrinks below three nodes.
 
-``BaselineBst`` is the original non-recoverable algorithm for benchmarks.
+``BaselineBst`` is the original non-recoverable algorithm (Ellen, Fatourou,
+Ruppert and van Breugel) and holds the search and the helping code.
+``RecoverableBst`` extends it: it overrides only the two completion steps
+that write ``result`` before unflagging, and the two updates, which also
+write the checkpoint ``cp`` and the record reference ``rd``.
 """
 
 from __future__ import annotations
@@ -66,16 +70,12 @@ class DeleteInfo(InfoRecord):
         self.result = m.new_cell(result, owner=pid)
 
 
-class RecoverableBst:
-    """Set of keys below INF1; INF1/INF2 are reserved sentinels."""
+class BaselineBst:
+    """Non-recoverable flag/mark BST; keys below INF1, INF1/INF2 reserved."""
 
     def __init__(self, m):
         self.m = m
         self.root = Internal(m, None, INF2, Leaf(INF1), Leaf(INF2))
-
-    def _reinvoke(self, p, fn, *args):
-        self.m.invoke_reset(p)
-        return fn(p, *args)
 
     def search(self, p, k):
         """Descend to the leaf for ``k``; returns (gp, parent, leaf,
@@ -95,19 +95,16 @@ class RecoverableBst:
         return l if l.key == k else None
 
     def contains(self, p, k) -> bool:
-        return self.find(p, k) is not None
-
-    def contains_recover(self, p, k) -> bool:
-        return self._reinvoke(p, self.contains, k)
+        return self.search(p, k)[2].key == k
 
     # -- helping -------------------------------------------------------------
 
-    def cas_child(self, p, parent: Internal, old, new, note="child") -> None:
+    def cas_child(self, p, parent: Internal, old, new, note=None) -> None:
         m = self.m
         if new.key < parent.key:
-            m.cas(p, parent.left, old, new, note=note)
+            m.cas(p, parent.left, old, new, note)
         else:
-            m.cas(p, parent.right, old, new, note=note)
+            m.cas(p, parent.right, old, new, note)
 
     def help(self, p, u: UpdateWord) -> None:
         if u.state == IFLAG:
@@ -118,11 +115,8 @@ class RecoverableBst:
             self.help_delete(p, u.info)
 
     def help_insert(self, p, op: InsertInfo) -> None:
-        m = self.m
-        self.cas_child(p, op.p, op.l, op.new_internal, note=f"ichild:{id(op)}")
-        m.write(p, op.result, True)
-        m.cas(p, op.p.update, UpdateWord(IFLAG, op), UpdateWord(CLEAN, op),
-              note="iunflag")
+        self.cas_child(p, op.p, op.l, op.new_internal)
+        self.m.cas(p, op.p.update, UpdateWord(IFLAG, op), UpdateWord(CLEAN, op))
 
     def help_delete(self, p, op: DeleteInfo) -> bool:
         m = self.m
@@ -132,7 +126,7 @@ class RecoverableBst:
             return True
         self.help(p, prev)
         m.cas(p, op.gp.update, UpdateWord(DFLAG, op), UpdateWord(CLEAN, op),
-              note="backtrack")
+              "backtrack")
         return False
 
     def help_marked(self, p, op: DeleteInfo) -> None:
@@ -141,10 +135,122 @@ class RecoverableBst:
             other = m.read(p, op.p.left)
         else:
             other = m.read(p, op.p.right)
-        self.cas_child(p, op.gp, op.p, other, note=f"dchild:{id(op)}")
+        self.cas_child(p, op.gp, op.p, other)
+        m.cas(p, op.gp.update, UpdateWord(DFLAG, op), UpdateWord(CLEAN, op))
+
+    # -- updates -------------------------------------------------------------
+
+    def insert(self, p, k) -> bool:
+        m = self.m
+        new_leaf = Leaf(k)
+        while True:
+            _, par, l, pu, _ = self.search(p, k)
+            if l.key == k:
+                return False
+            if pu.state != CLEAN:
+                self.help(p, pu)
+            else:
+                sibling = Leaf(l.key)
+                lo, hi = (new_leaf, sibling) if k < l.key else (sibling, new_leaf)
+                new_internal = Internal(m, p, max(k, l.key), lo, hi)
+                op = InsertInfo(m, p, par, l, new_internal)
+                prev = m.cas_fetch(p, par.update, pu, UpdateWord(IFLAG, op))
+                if prev == pu:
+                    self.help_insert(p, op)
+                    return True
+                self.help(p, prev)
+
+    def delete(self, p, k) -> bool:
+        m = self.m
+        while True:
+            gp, par, l, pu, gpu = self.search(p, k)
+            if l.key != k:
+                return False
+            if gpu.state != CLEAN:
+                self.help(p, gpu)
+            elif pu.state != CLEAN:
+                self.help(p, pu)
+            else:
+                op = DeleteInfo(m, p, gp, par, l, pu)
+                prev = m.cas_fetch(p, gp.update, gpu, UpdateWord(DFLAG, op))
+                if prev == gpu:
+                    if self.help_delete(p, op):
+                        return True
+                else:
+                    self.help(p, prev)
+
+    # -- introspection (tests and harness only) ------------------------------
+
+    def snapshot(self) -> set:
+        out = set()
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Leaf):
+                if node.key < INF1:
+                    out.add(node.key)
+            else:
+                stack.append(node.left.v)
+                stack.append(node.right.v)
+        return out
+
+    def well_formed(self) -> bool:
+        """Leaf-oriented order: internal keys route correctly everywhere."""
+
+        def check(node, lo, hi):   # every key in the subtree is in [lo, hi)
+            if isinstance(node, Leaf):
+                return lo <= node.key < hi
+            return (lo <= node.key < hi
+                    and check(node.left.v, lo, node.key)
+                    and check(node.right.v, node.key, hi))
+
+        root = self.root
+        return (root.key == INF2
+                and check(root.left.v, -(2 ** 63), root.key)
+                and check(root.right.v, root.key, INF2 + 1))
+
+    def node_count(self) -> int:
+        n = 0
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            n += 1
+            if isinstance(node, Internal):
+                stack.append(node.left.v)
+                stack.append(node.right.v)
+        return n
+
+
+class RecoverableBst(BaselineBst):
+    """The baseline plus per-process tracking through ``cp``, ``rd`` and
+    each record's ``result``."""
+
+    def _reinvoke(self, p, fn, *args):
+        self.m.invoke_reset(p)
+        return fn(p, *args)
+
+    def contains_recover(self, p, k) -> bool:
+        return self._reinvoke(p, self.contains, k)
+
+    # -- helping: completions write the result before unflagging ------------
+
+    def help_insert(self, p, op: InsertInfo) -> None:
+        m = self.m
+        self.cas_child(p, op.p, op.l, op.new_internal, f"ichild:{id(op)}")
+        m.write(p, op.result, True)
+        m.cas(p, op.p.update, UpdateWord(IFLAG, op), UpdateWord(CLEAN, op),
+              "iunflag")
+
+    def help_marked(self, p, op: DeleteInfo) -> None:
+        m = self.m
+        if m.read(p, op.p.right) is op.l:
+            other = m.read(p, op.p.left)
+        else:
+            other = m.read(p, op.p.right)
+        self.cas_child(p, op.gp, op.p, other, f"dchild:{id(op)}")
         m.write(p, op.result, True)
         m.cas(p, op.gp.update, UpdateWord(DFLAG, op), UpdateWord(CLEAN, op),
-              note="dunflag")
+              "dunflag")
 
     # -- updates -------------------------------------------------------------
 
@@ -224,143 +330,3 @@ class RecoverableBst:
         if m.read(p, op.result) is True:
             return True
         return self._reinvoke(p, self.delete, k)
-
-    # -- introspection (tests and harness only) ------------------------------
-
-    def snapshot(self) -> set:
-        out = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                if node.key < INF1:
-                    out.add(node.key)
-            else:
-                stack.append(node.left.v)
-                stack.append(node.right.v)
-        return out
-
-    def well_formed(self) -> bool:
-        """Leaf-oriented order: internal keys route correctly everywhere."""
-
-        def check(node, lo, hi):   # every key in the subtree is in [lo, hi)
-            if isinstance(node, Leaf):
-                return lo <= node.key < hi
-            return (lo <= node.key < hi
-                    and check(node.left.v, lo, node.key)
-                    and check(node.right.v, node.key, hi))
-
-        root = self.root
-        return (root.key == INF2
-                and check(root.left.v, -(2 ** 63), root.key)
-                and check(root.right.v, root.key, INF2 + 1))
-
-    def node_count(self) -> int:
-        n = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            n += 1
-            if isinstance(node, Internal):
-                stack.append(node.left.v)
-                stack.append(node.right.v)
-        return n
-
-
-class BaselineBst:
-    """Non-recoverable flag/mark BST (benchmark baseline)."""
-
-    def __init__(self, m):
-        self.m = m
-        self.root = Internal(m, None, INF2, Leaf(INF1), Leaf(INF2))
-
-    def search(self, p, k):
-        m = self.m
-        gp = par = None
-        gpu = pu = None
-        l = self.root
-        while isinstance(l, Internal):
-            gp, par = par, l
-            gpu, pu = pu, m.read(p, par.update)
-            l = m.read(p, par.left if k < par.key else par.right)
-        return gp, par, l, pu, gpu
-
-    def contains(self, p, k) -> bool:
-        return self.search(p, k)[2].key == k
-
-    def cas_child(self, p, parent, old, new):
-        m = self.m
-        if new.key < parent.key:
-            m.cas(p, parent.left, old, new)
-        else:
-            m.cas(p, parent.right, old, new)
-
-    def help(self, p, u):
-        if u.state == IFLAG:
-            self.help_insert(p, u.info)
-        elif u.state == MARK:
-            self.help_marked(p, u.info)
-        elif u.state == DFLAG:
-            self.help_delete(p, u.info)
-
-    def help_insert(self, p, op):
-        self.cas_child(p, op.p, op.l, op.new_internal)
-        self.m.cas(p, op.p.update, UpdateWord(IFLAG, op), UpdateWord(CLEAN, op))
-
-    def help_delete(self, p, op):
-        m = self.m
-        prev = m.cas_fetch(p, op.p.update, op.pupdate, UpdateWord(MARK, op))
-        if prev == op.pupdate or prev == UpdateWord(MARK, op):
-            self.help_marked(p, op)
-            return True
-        self.help(p, prev)
-        m.cas(p, op.gp.update, UpdateWord(DFLAG, op), UpdateWord(CLEAN, op))
-        return False
-
-    def help_marked(self, p, op):
-        m = self.m
-        if m.read(p, op.p.right) is op.l:
-            other = m.read(p, op.p.left)
-        else:
-            other = m.read(p, op.p.right)
-        self.cas_child(p, op.gp, op.p, other)
-        m.cas(p, op.gp.update, UpdateWord(DFLAG, op), UpdateWord(CLEAN, op))
-
-    def insert(self, p, k) -> bool:
-        m = self.m
-        new_leaf = Leaf(k)
-        while True:
-            _, par, l, pu, _ = self.search(p, k)
-            if l.key == k:
-                return False
-            if pu.state != CLEAN:
-                self.help(p, pu)
-            else:
-                sibling = Leaf(l.key)
-                lo, hi = (new_leaf, sibling) if k < l.key else (sibling, new_leaf)
-                new_internal = Internal(m, p, max(k, l.key), lo, hi)
-                op = InsertInfo(m, p, par, l, new_internal)
-                prev = m.cas_fetch(p, par.update, pu, UpdateWord(IFLAG, op))
-                if prev == pu:
-                    self.help_insert(p, op)
-                    return True
-                self.help(p, prev)
-
-    def delete(self, p, k) -> bool:
-        m = self.m
-        while True:
-            gp, par, l, pu, gpu = self.search(p, k)
-            if l.key != k:
-                return False
-            if gpu.state != CLEAN:
-                self.help(p, gpu)
-            elif pu.state != CLEAN:
-                self.help(p, pu)
-            else:
-                op = DeleteInfo(m, p, gp, par, l, pu)
-                prev = m.cas_fetch(p, gp.update, gpu, UpdateWord(DFLAG, op))
-                if prev == gpu:
-                    if self.help_delete(p, op):
-                        return True
-                else:
-                    self.help(p, prev)

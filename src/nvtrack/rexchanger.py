@@ -10,17 +10,20 @@ finish the collision and resets the slot, which makes the completion step
 idempotent and crash-recoverable: recovery re-runs exactly the completion
 the crashed process was in the middle of, then reads its own ``result``.
 
-Two variants share the record type:
+Two variants share the record type and one copy of the protocol:
 
-* :class:`Exchanger` -- the unbounded-wait variant (a lone caller spins
-  until the simulated step budget runs out; not lock-free by design);
 * :class:`TimedExchanger` -- the slot-addressed variant used by the
   elimination stack; a waiter whose deadline passes tries to reset the slot
   and reports TIMEOUT, unless a collision sneaks in first.
+* :class:`Exchanger` -- the unbounded-wait variant, the timed one with an
+  infinite deadline (a lone caller spins until the simulated step budget
+  runs out; not lock-free by design).  Its recovery resumes waiting where
+  the timed recovery gives up.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from .runtime import InfoRecord, TIMEOUT, UNSET
@@ -45,78 +48,6 @@ def switch_pair(m, p, first: ExchangeInfo, second: ExchangeInfo) -> None:
     m.write(p, second.result, first.value)
 
 
-class Exchanger:
-    """Single-slot exchanger whose callers wait until somebody collides."""
-
-    def __init__(self, m):
-        self.m = m
-        self.default = ExchangeInfo(m, None, EX_EMPTY, UNSET)
-        self.slot = m.new_cell(self.default)
-
-    def _reinvoke(self, p, value):
-        self.m.invoke_reset(p)
-        return self.exchange(p, value)
-
-    def exchange(self, p, value) -> Any:
-        m = self.m
-        myop = ExchangeInfo(m, p, EX_WAITING, value)
-        m.write(p, m.ctx(p).rd, myop)
-        m.write(p, m.ctx(p).cp, 1)
-        while True:
-            yourop = m.read(p, self.slot)
-            state = m.read(p, yourop.state)
-            if state == EX_EMPTY:
-                m.write(p, myop.state, EX_WAITING)
-                m.write(p, myop.partner, None)
-                if m.cas(p, self.slot, yourop, myop):
-                    return self._await_collision(p, myop)
-            elif state == EX_WAITING:
-                m.write(p, myop.partner, yourop)
-                m.write(p, myop.state, EX_BUSY)
-                if m.cas(p, self.slot, yourop, myop):
-                    switch_pair(m, p, myop, yourop)
-                    m.cas(p, self.slot, myop, self.default)
-                    return m.read(p, myop.result)
-            else:  # EX_BUSY: a collision is in progress; help and retry
-                partner = m.read(p, yourop.partner)
-                switch_pair(m, p, yourop, partner)
-                m.cas(p, self.slot, yourop, self.default)
-
-    def _await_collision(self, p, myop) -> Any:
-        m = self.m
-        while True:
-            yourop = m.read(p, self.slot)
-            if yourop is not myop:
-                if m.read(p, yourop.partner) is myop:
-                    switch_pair(m, p, myop, yourop)
-                    m.cas(p, self.slot, yourop, self.default)
-                return m.read(p, myop.result)
-
-    def exchange_recover(self, p, value) -> Any:
-        m = self.m
-        myop = m.read(p, m.ctx(p).rd)
-        yourop = m.read(p, self.slot)
-        if m.read(p, m.ctx(p).cp) == 0:
-            return self._reinvoke(p, value)
-        state = m.read(p, myop.state)
-        if state == EX_WAITING:
-            if yourop is myop:
-                # still installed and uncollided: resume waiting
-                return self._await_collision(p, myop)
-            if m.read(p, yourop.partner) is myop:
-                switch_pair(m, p, myop, yourop)
-                m.cas(p, self.slot, yourop, self.default)
-        if state == EX_BUSY:
-            if yourop is myop:
-                partner = m.read(p, myop.partner)
-                switch_pair(m, p, myop, partner)
-                m.cas(p, self.slot, myop, self.default)
-        res = m.read(p, myop.result)
-        if res is not UNSET:
-            return res
-        return self._reinvoke(p, value)
-
-
 class TimedExchanger:
     """One elimination-array entry; exchanges give up after ``timeout``."""
 
@@ -130,6 +61,12 @@ class TimedExchanger:
         deadline = m.now() + timeout
         myop = ExchangeInfo(m, p, EX_WAITING, value, slot=self)
         m.write(p, m.ctx(p).rd, myop)
+        return self._collide(p, myop, deadline)
+
+    def _collide(self, p, myop: ExchangeInfo, deadline) -> Any:
+        """Install ``myop`` or collide with a waiter, helping any collision
+        in progress; TIMEOUT once ``deadline`` passes."""
+        m = self.m
         while True:
             if m.now() > deadline:
                 return TIMEOUT
@@ -139,21 +76,7 @@ class TimedExchanger:
                 m.write(p, myop.state, EX_WAITING)
                 m.write(p, myop.partner, None)
                 if m.cas(p, self.slot, yourop, myop):
-                    while m.now() < deadline:
-                        yourop = m.read(p, self.slot)
-                        if yourop is not myop:
-                            if m.read(p, yourop.partner) is myop:
-                                switch_pair(m, p, myop, yourop)
-                                m.cas(p, self.slot, yourop, self.default)
-                            return m.read(p, myop.result)
-                    # deadline passed with nobody colliding
-                    if m.cas(p, self.slot, myop, self.default):
-                        return TIMEOUT
-                    yourop = m.read(p, self.slot)
-                    if m.read(p, yourop.partner) is myop:
-                        switch_pair(m, p, myop, yourop)
-                        m.cas(p, self.slot, yourop, self.default)
-                    return m.read(p, myop.result)
+                    return self._await_collision(p, myop, deadline)
             elif state == EX_WAITING:
                 m.write(p, myop.partner, yourop)
                 m.write(p, myop.state, EX_BUSY)
@@ -161,10 +84,43 @@ class TimedExchanger:
                     switch_pair(m, p, myop, yourop)
                     m.cas(p, self.slot, myop, self.default)
                     return m.read(p, myop.result)
-            else:  # EX_BUSY
-                partner = m.read(p, yourop.partner)
-                switch_pair(m, p, yourop, partner)
-                m.cas(p, self.slot, yourop, self.default)
+            else:  # EX_BUSY: a collision is in progress; help and retry
+                self._complete(p, yourop)
+
+    def _await_collision(self, p, myop: ExchangeInfo, deadline) -> Any:
+        m = self.m
+        while m.now() < deadline:
+            yourop = m.read(p, self.slot)
+            if yourop is not myop:
+                self._finish_as_partner(p, myop, yourop)
+                return m.read(p, myop.result)
+        # deadline passed with nobody colliding
+        if self._withdraw(p, myop):
+            return TIMEOUT
+        return m.read(p, myop.result)
+
+    def _complete(self, p, op: ExchangeInfo) -> None:
+        """Finish the collision that BUSY record ``op`` started."""
+        m = self.m
+        partner = m.read(p, op.partner)
+        switch_pair(m, p, op, partner)
+        m.cas(p, self.slot, op, self.default)
+
+    def _finish_as_partner(self, p, myop: ExchangeInfo, yourop) -> None:
+        """Finish the collision that names ``myop`` as partner, if any."""
+        m = self.m
+        if m.read(p, yourop.partner) is myop:
+            switch_pair(m, p, myop, yourop)
+            m.cas(p, self.slot, yourop, self.default)
+
+    def _withdraw(self, p, myop: ExchangeInfo) -> bool:
+        """Reset the slot from waiting ``myop``; False if a collision got in
+        first, which is then finished."""
+        m = self.m
+        if m.cas(p, self.slot, myop, self.default):
+            return True
+        self._finish_as_partner(p, myop, m.read(p, self.slot))
+        return False
 
     def recover(self, p, myop: ExchangeInfo) -> Any:
         """Finish or abandon a crashed exchange; UNSET means no collision."""
@@ -173,19 +129,48 @@ class TimedExchanger:
         if state == EX_WAITING:
             yourop = m.read(p, self.slot)
             if yourop is myop:
-                # behave as if the deadline just passed
-                if not m.cas(p, self.slot, myop, self.default):
-                    yourop = m.read(p, self.slot)
-                    if m.read(p, yourop.partner) is myop:
-                        switch_pair(m, p, myop, yourop)
-                        m.cas(p, self.slot, yourop, self.default)
-            elif m.read(p, yourop.partner) is myop:
-                switch_pair(m, p, myop, yourop)
-                m.cas(p, self.slot, yourop, self.default)
+                self._withdraw(p, myop)   # as if the deadline just passed
+            else:
+                self._finish_as_partner(p, myop, yourop)
         if state == EX_BUSY:
-            yourop = m.read(p, self.slot)
-            if yourop is myop:
-                partner = m.read(p, myop.partner)
-                switch_pair(m, p, myop, partner)
-                m.cas(p, self.slot, myop, self.default)
+            if m.read(p, self.slot) is myop:
+                self._complete(p, myop)
         return m.read(p, myop.result)
+
+
+class Exchanger(TimedExchanger):
+    """Single-slot exchanger whose callers wait until somebody collides."""
+
+    def __init__(self, m):
+        super().__init__(m, ExchangeInfo(m, None, EX_EMPTY, UNSET))
+
+    def _reinvoke(self, p, value):
+        self.m.invoke_reset(p)
+        return self.exchange(p, value)
+
+    def exchange(self, p, value) -> Any:
+        m = self.m
+        myop = ExchangeInfo(m, p, EX_WAITING, value)
+        m.write(p, m.ctx(p).rd, myop)
+        m.write(p, m.ctx(p).cp, 1)
+        return self._collide(p, myop, math.inf)
+
+    def exchange_recover(self, p, value) -> Any:
+        m = self.m
+        myop = m.read(p, m.ctx(p).rd)
+        yourop = m.read(p, self.slot)
+        if m.read(p, m.ctx(p).cp) == 0:
+            return self._reinvoke(p, value)
+        state = m.read(p, myop.state)
+        if state == EX_WAITING:
+            if yourop is myop:
+                # still installed and uncollided: resume waiting
+                return self._await_collision(p, myop, math.inf)
+            self._finish_as_partner(p, myop, yourop)
+        if state == EX_BUSY:
+            if yourop is myop:
+                self._complete(p, myop)
+        res = m.read(p, myop.result)
+        if res is not UNSET:
+            return res
+        return self._reinvoke(p, value)

@@ -25,15 +25,11 @@ every write.
 
 from __future__ import annotations
 
-import logging
-import os
 import random
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Sequence
-
-log = logging.getLogger("nvtrack")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +206,6 @@ class CrashPolicy:
 # Native backend
 # ---------------------------------------------------------------------------
 
-_NO_FLUSH_ENV = "NVTRACK_NO_FLUSH_INSTR"
 _N_CAS_LOCKS = 64
 
 
@@ -218,8 +213,7 @@ class NativeRuntime:
     """Real-thread backend: plain reads/writes, lock-striped CAS, no crashes.
 
     ``flush`` emulates a cache-line writeback by copying the cached value to
-    the persisted slot; setting ``NVTRACK_NO_FLUSH_INSTR=1`` degrades it to an
-    ordering-only fence stub (a warning is logged once).
+    the persisted slot.
     """
 
     kind = "native"
@@ -228,14 +222,6 @@ class NativeRuntime:
         self.nprocs = nprocs
         self._ctxs = [ProcessCtx(i) for i in range(nprocs)]
         self._cas_locks = [threading.Lock() for _ in range(_N_CAS_LOCKS)]
-        if os.environ.get(_NO_FLUSH_ENV) == "1":
-            log.warning(
-                "%s=1: cache-line writeback disabled, falling back to a "
-                "fence-only flush", _NO_FLUSH_ENV,
-            )
-            self._writeback = False
-        else:
-            self._writeback = True
 
     # -- memory API ---------------------------------------------------------
 
@@ -268,8 +254,7 @@ class NativeRuntime:
             return old
 
     def flush(self, pid: int, cell: Cell) -> None:
-        if self._writeback:
-            cell.p = cell.v
+        cell.p = cell.v
 
     def invoke_reset(self, pid: int) -> None:
         ctx = self._ctxs[pid]

@@ -1,7 +1,5 @@
 """Benchmark configuration, determinism, and CSV output."""
 
-import logging
-
 import pytest
 
 from nvtrack.bench import (
@@ -12,7 +10,7 @@ from nvtrack.bench import (
     op_stream,
     run_benchmark,
 )
-from nvtrack.runtime import NativeRuntime, _NO_FLUSH_ENV
+from nvtrack.runtime import NativeRuntime
 
 
 def small(**kw):
@@ -89,19 +87,7 @@ def test_steps_timing_is_bit_stable():
     assert a == b
 
 
-def test_no_flush_instr_env_falls_back_to_fence(monkeypatch, caplog):
-    monkeypatch.setenv(_NO_FLUSH_ENV, "1")
-    with caplog.at_level(logging.WARNING, logger="nvtrack"):
-        rt = NativeRuntime(1)
-    assert any("fence" in r.message for r in caplog.records)
-    cell = rt.new_cell(0)
-    rt.write(0, cell, 5)
-    rt.flush(0, cell)
-    assert cell.p == 0      # fence-only flush does not write back
-
-
-def test_writeback_flush_copies_value(monkeypatch):
-    monkeypatch.delenv(_NO_FLUSH_ENV, raising=False)
+def test_writeback_flush_copies_value():
     rt = NativeRuntime(1)
     cell = rt.new_cell(0)
     rt.write(0, cell, 5)

@@ -6,8 +6,10 @@ import threading
 import pytest
 
 from nvtrack.harness import (
+    DEFAULT_PATTERNS,
     STRUCTURES,
     Schedule,
+    detectability_sweep,
     pattern_quanta,
     run_direct,
     run_schedule,
@@ -118,3 +120,21 @@ def test_raising_op_propagates_out_of_run_schedule_without_hanging():
 def test_raising_op_propagates_out_of_run_direct():
     with pytest.raises(ValueError, match="boom"):
         run_direct(_raising_list(), [("insert", (5,)), ("boom", ())])
+
+
+def test_raising_op_is_an_errored_violation_not_an_aborted_sweep():
+    adapter = _raising_list()
+    wl = {0: [("insert", (5,))], 1: [("boom", ())]}
+    reports = []
+    t = threading.Thread(target=lambda: reports.append(
+        detectability_sweep(adapter, wl)), daemon=True)
+    t.start()
+    t.join(10)
+    assert not t.is_alive()
+    [report] = reports
+    assert report.total == len(DEFAULT_PATTERNS)
+    assert [label for label, _ in report.violations] == \
+        [f"{p}/no-crash [errored]" for p in DEFAULT_PATTERNS]
+    assert all("ValueError: boom" in detail for _, detail in report.violations)
+    assert not [th.name for th in threading.enumerate()
+                if th.name.startswith("simproc-")]
