@@ -13,7 +13,7 @@ import sys
 
 from nvtrack.cli import main as cli_main
 
-STRUCTURES = ["list", "list-flush", "stack", "bst", "exchanger"]
+STRUCTURES = ["list", "list-flush", "stack", "bst", "exchanger", "exchanger-timed"]
 
 
 def main() -> int:

@@ -1,24 +1,25 @@
 """Deterministic crash-injection harness over the simulated backend.
 
-A :class:`Schedule` fixes an interleaving as (pid, step-count) quanta, global
-step indices at which whole-system crashes fire, and a per-crash recovery
-dispatch order.  :func:`run_schedule` executes exactly that plan; once the
-planned quanta are exhausted, a round-robin drain (recover crashed processes,
-then keep granting steps) runs every process to completion, so histories are
-complete unless an operation blows its step budget (reported inconclusive).
+A :class:`Schedule` fixes an interleaving as (pid, step-count) quanta and the
+global step indices at which whole-system crashes fire.  A crash starts the
+failed processes' recoveries itself (see ``SimRuntime.crash``), and their
+steps are granted like any others.  :func:`run_schedule` executes exactly
+that plan; once the planned quanta are exhausted, a round-robin drain runs
+every process to completion, so histories are complete unless an operation
+blows its step budget (reported inconclusive).
 
 :func:`enumerate_crash_points` systematizes crash placement: for each base
 interleaving pattern it probes the crash-free run length, then replays the
-pattern with a crash at every step index (or a seeded sample of them) under
-every recovery order.  :func:`detectability_sweep` bundles that with the
-crash-extended linearizability and strict-recoverability checks; a run whose
-operation or recovery raises is reported as an errored violation instead of
-aborting the sweep.
+pattern with a crash at every step index (or a seeded sample of them).
+Starting a recovery takes no step, so the order in which recoveries start is
+unobservable and is not enumerated.  :func:`detectability_sweep` bundles
+that with the crash-extended linearizability and strict-recoverability
+checks; a run whose operation or recovery raises is reported as an errored
+violation instead of aborting the sweep.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import traceback
 from dataclasses import dataclass, field
@@ -138,13 +139,11 @@ class Schedule:
 
     ``quanta``: consecutive (pid, steps) grants.  ``crashes``: global step
     indices, strictly increasing; a crash at index c fires once c steps have
-    been granted.  ``recovery_orders``: one pid-priority tuple per crash in
-    which crashed processes get their recovery dispatched.
+    been granted.
     """
 
     quanta: tuple = ()
     crashes: tuple = ()
-    recovery_orders: tuple = ()
 
     def stream(self) -> Iterator[int]:
         for pid, count in self.quanta:
@@ -200,16 +199,11 @@ def _prepared_runtime(adapter: StructureAdapter, nprocs: int, setup: Sequence,
     return rt, obj
 
 
-def _fire_due_crashes(rt: SimRuntime, crashes: list, orders: list,
-                      granted: int, nprocs: int) -> None:
-    """Fire each crash due by ``granted`` steps, then dispatch recoveries."""
+def _fire_due_crashes(rt: SimRuntime, crashes: list, granted: int) -> None:
+    """Fire each crash due by ``granted`` steps."""
     while crashes and crashes[0] <= granted:
         crashes.pop(0)
-        order = orders.pop(0) if orders else tuple(range(nprocs))
         rt.crash()
-        for rpid in order:
-            if rpid in rt.crashed_pids():
-                rt.dispatch_recovery(rpid)
 
 
 def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
@@ -227,25 +221,21 @@ def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
                       for pid, ops in workload.items()})
     granted = 0
     crashes = list(schedule.crashes)
-    orders = list(schedule.recovery_orders)
     try:
         for pid in schedule.stream():
             if crashes and crashes[0] <= granted:
-                _fire_due_crashes(rt, crashes, orders, granted, nprocs)
+                _fire_due_crashes(rt, crashes, granted)
             if rt.grant_step(pid):
                 granted += 1
             if rt.all_done() and not crashes:
                 break
-        # drain: fire leftover crashes, recover, and finish round-robin
+        # drain: fire leftover crashes and finish round-robin
         cap = step_budget * nprocs * 3 + 1024
         spins = 0
         while not rt.all_done() and spins < cap:
-            _fire_due_crashes(rt, crashes, orders, granted, nprocs)
+            _fire_due_crashes(rt, crashes, granted)
             progressed = False
             for pid in range(nprocs):
-                if pid in rt.crashed_pids():
-                    rt.dispatch_recovery(pid)
-                    progressed = True
                 if rt.grant_step(pid):
                     granted += 1
                     progressed = True
@@ -297,8 +287,6 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
     """
     nprocs = max(workload) + 1 if workload else 1
     rng = random.Random(seed)
-    rec_orders = list(itertools.permutations(range(nprocs))) if nprocs > 1 \
-        else [(0,)]
     common = dict(setup=setup, seed=seed, step_budget=step_budget,
                   cache=cache, policy=policy)
 
@@ -320,15 +308,12 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
         if samples is not None and samples < total:
             points = sorted(rng.sample(range(total), samples))
         for c in points:
-            for order in rec_orders:
-                crash_sets = [(c,)]
-                if max_crashes >= 2:
-                    crash_sets.append((c, c + 1 + rng.randrange(max(1, total - c))))
-                for crashes in crash_sets:
-                    at = ",".join(map(str, crashes))
-                    yield run(Schedule(quanta, crashes=crashes,
-                                       recovery_orders=(order,) * len(crashes)),
-                              f"{pattern}/crash@{at}/order{order}")
+            crash_sets = [(c,)]
+            if max_crashes >= 2:
+                crash_sets.append((c, c + 1 + rng.randrange(max(1, total - c))))
+            for crashes in crash_sets:
+                at = ",".join(map(str, crashes))
+                yield run(Schedule(quanta, crashes), f"{pattern}/crash@{at}")
 
 
 # ---------------------------------------------------------------------------

@@ -56,25 +56,13 @@ class EliminationStack:
         self.default = ExchangeInfo(m, None, EX_EMPTY, UNSET)
         self.exchangers = [TimedExchanger(m, self.default) for _ in range(slots)]
         self._rng = [random.Random(f"{seed}:{pid}") for pid in range(m.nprocs)]
+        # elimination range: shrinks on a collision, grows on a timeout (any
+        # rule keeping 1 <= range <= slots conforms)
         self._range = [1] * m.nprocs
 
     def _reinvoke(self, p, fn, *args):
         self.m.invoke_reset(p)
         return fn(p, *args)
-
-    # -- elimination policy (any rule keeping 1 <= range <= slots conforms) --
-
-    def _calculate_range(self, p) -> int:
-        return self._range[p]
-
-    def _calculate_duration(self, p) -> int:
-        return self.exchange_wait
-
-    def _record_success(self, p) -> None:
-        self._range[p] = max(1, self._range[p] - 1)
-
-    def _record_failure(self, p) -> None:
-        self._range[p] = min(self.slots, self._range[p] + 1)
 
     # -- central stack -------------------------------------------------------
 
@@ -131,15 +119,13 @@ class EliminationStack:
         while True:
             if self.try_push(p, data):
                 return True
-            cells = self._calculate_range(p)
-            duration = self._calculate_duration(p)
-            other = self.visit(p, value, cells, duration)
+            other = self.visit(p, value, self._range[p], self.exchange_wait)
             if other is NULL:          # collided with a pop
                 m.write(p, m.ctx(p).rd, CentralInfo(m, p, None, True))
-                self._record_success(p)
+                self._range[p] = max(1, self._range[p] - 1)
                 return True
             if other is TIMEOUT:
-                self._record_failure(p)
+                self._range[p] = min(self.slots, self._range[p] + 1)
             # a push/push collision falls through and retries centrally
 
     def push_recover(self, p, value) -> bool:
@@ -170,14 +156,12 @@ class EliminationStack:
             response = self.try_pop(p, data)
             if response is not RETRY:
                 return response
-            cells = self._calculate_range(p)
-            duration = self._calculate_duration(p)
-            other = self.visit(p, NULL, cells, duration)
+            other = self.visit(p, NULL, self._range[p], self.exchange_wait)
             if other is TIMEOUT:
-                self._record_failure(p)
+                self._range[p] = min(self.slots, self._range[p] + 1)
             elif other is not NULL:    # collided with a push
                 m.write(p, m.ctx(p).rd, CentralInfo(m, p, None, other))
-                self._record_success(p)
+                self._range[p] = max(1, self._range[p] - 1)
                 return other
 
     def pop_recover(self, p) -> Any:

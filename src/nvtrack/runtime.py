@@ -9,10 +9,12 @@ recovery-data reference ``rd``).  Two backends implement the API:
   injection; used by the benchmark CLI.
 * :class:`SimRuntime` -- a cooperative single-stepping backend where every
   shared-cell access is a scheduling point.  A deterministic driver (see
-  ``harness``) interleaves logical processes step by step, injects
-  whole-system crashes, and dispatches recovery functions.  Every operation
-  and recovery runs, and records its history events, through one method;
-  every crash fires through another.
+  ``harness``) interleaves logical processes step by step and injects
+  whole-system crashes; a crash fails every in-flight operation and starts
+  each failed process's recovery function.  Every operation and recovery
+  runs, and records its history events, through one method, and every crash
+  fires through another; both driving modes run a process's operations
+  through one loop.
 
 Volatile-cache simulation keeps two values per cell: ``v`` (the cached value)
 and ``p`` (the persisted one).  A crash reverts unflushed cells to their
@@ -293,67 +295,60 @@ _PARKED, _GATE, _RUNNING, _DONE = "parked", "gate", "running", "done"
 
 
 class _Worker(threading.Thread):
-    """One logical process: runs ``inflight`` (recovering it if ``crashed``)
-    each time the scheduler wakes it, pausing at every gate."""
+    """One logical process: runs its operations through
+    :meth:`SimRuntime._run_ops`, parking before each attempt until the
+    scheduler wakes it and pausing at every gate."""
 
-    def __init__(self, rt: "SimRuntime", pid: int) -> None:
+    def __init__(self, rt: "SimRuntime", pid: int,
+                 ops: Sequence[tuple[OpDef, tuple]]) -> None:
         super().__init__(name=f"simproc-{pid}", daemon=True)
         self.rt = rt
         self.pid = pid
-        self.state = _RUNNING          # becomes parked once the loop starts
+        self.ops = ops
+        self.state = _RUNNING          # until it first parks
         self.go = threading.Semaphore(0)
         self.crash_pending = False
         self.kill = False
-        self.inflight: Optional[tuple[OpDef, tuple]] = None
-        self.crashed = False
+        self.crashed = False           # the parked attempt is a recovery
         self.abandoned = False
         self.error: Optional[Exception] = None
-        self.queue: list[tuple[OpDef, tuple]] = []
 
     # The worker only touches its own flags while the scheduler is blocked
     # on rt._idle, and vice versa, so no extra locking is needed.
 
+    def _park(self, recovering: bool) -> None:
+        self.crashed = recovering
+        self.state = _PARKED
+        self.rt._idle.release()
+        self.go.acquire()
+        if self.kill:
+            raise _KillWorker()
+        self.state = _RUNNING
+
     def run(self) -> None:
-        rt = self.rt
         try:
-            while True:
-                self.state = _PARKED
-                rt._idle.release()
-                self.go.acquire()
-                if self.kill:
-                    break
-                self.state = _RUNNING
-                opdef, args = self.inflight
-                try:
-                    rt._run_op(self.pid, opdef, args, self.crashed)
-                except CrashUnwind:
-                    self.crashed = True
-                    continue
-                except StepBudgetExceeded:
-                    self.abandoned = True
-                self.inflight = None
-                self.crashed = False
+            self.abandoned = not self.rt._run_ops(self.pid, self.ops, self._park)
         except _KillWorker:
             pass
         except Exception as exc:       # re-raised by the scheduler
             self.error = exc
         self.state = _DONE
-        rt._idle.release()
+        self.rt._idle.release()
 
 
 class SimRuntime:
     """Deterministic cooperative backend with crash injection.
 
-    Every operation and recovery runs through :meth:`_run_op`, and every
-    crash through :meth:`crash`, in both driving modes:
+    Every operation and recovery runs through :meth:`_run_op`, every
+    process's operation sequence through :meth:`_run_ops`, and every crash
+    through :meth:`crash`, in both driving modes:
 
     * *direct*: operations run synchronously on the calling thread
       (single-process workloads; optional planned crash steps).
     * *threaded*: one worker per process, advanced one shared-cell access at
-      a time via :meth:`grant_step`, with :meth:`crash` and
-      :meth:`dispatch_recovery` available between steps.  An exception an
-      operation raises stops its worker and is re-raised by the call that
-      woke it.
+      a time via :meth:`grant_step`, with :meth:`crash` available between
+      steps.  An exception an operation raises stops its worker and is
+      re-raised by the call that woke it.
     """
 
     kind = "sim"
@@ -498,16 +493,24 @@ class SimRuntime:
     # -- crash semantics ----------------------------------------------------
 
     def crash(self, policy: Optional[CrashPolicy] = None) -> None:
-        """Whole-system crash: fail in-flight ops, drop unflushed writes."""
+        """Whole-system crash: fail in-flight ops, drop unflushed writes.
+
+        In threaded mode each failed process then starts its recovery, in
+        pid order, and pauses at the recovery's first gate.  Starting a
+        recovery takes no step, and no recovery allocates a cell before its
+        first shared-cell access, so no other order could change the history
+        beyond the order of the ``RecoverBegin`` events, which all carry the
+        crash's ``t``."""
         if policy is not None:
             self.policy = policy
+        failed: list[_Worker] = []
         if self._threaded:
             if any(w.state == _RUNNING for w in self._workers):
                 raise RuntimeError("scheduler re-entered while a worker runs")
-            for w in self._workers:
-                if w.inflight is not None and w.state == _GATE:
-                    w.crash_pending = True
-                    self._release_and_wait(w)
+            failed = [w for w in self._workers if w.state == _GATE]
+            for w in failed:
+                w.crash_pending = True
+                self._release_and_wait(w)
         self._emit(CrashEvent(self.steps))
         for cell in self._vcells:
             if cell.v is not cell.p and cell.v != cell.p:
@@ -517,6 +520,8 @@ class SimRuntime:
                     cell.v = cell.p
         if self.on_crash is not None:
             self.on_crash()
+        for w in failed:
+            self.dispatch_recovery(w.pid)
 
     # -- operations ---------------------------------------------------------
 
@@ -554,6 +559,26 @@ class SimRuntime:
                 self.history.append(Response(self.steps, pid, opdef.name, resp, snap))
         return resp
 
+    def _run_ops(self, pid: int, ops: Sequence[tuple[OpDef, tuple]],
+                 wait: Optional[Callable[[bool], None]] = None) -> bool:
+        """Run ``ops`` in order, recovering a failed operation until it
+        completes.  ``wait``, if given, is called before every attempt with
+        whether that attempt is a recovery.  Returns False once an operation
+        exhausts its step budget."""
+        for opdef, args in ops:
+            recovering = False
+            while True:
+                if wait is not None:
+                    wait(recovering)
+                try:
+                    self._run_op(pid, opdef, args, recovering)
+                    break
+                except CrashUnwind:
+                    recovering = True
+                except StepBudgetExceeded:
+                    return False
+        return True
+
     # -- direct driving -----------------------------------------------------
 
     def invoke(self, pid: int, opdef: OpDef, args: tuple = ()) -> Any:
@@ -574,18 +599,7 @@ class SimRuntime:
         if self._threaded:
             raise RuntimeError("direct runs are unavailable after start_workers()")
         self._crash_plan = sorted(crash_steps)
-        try:
-            for opdef, args in ops:
-                recovering = False
-                while True:
-                    try:
-                        self._run_op(pid, opdef, args, recovering)
-                        break
-                    except CrashUnwind:
-                        recovering = True
-        except StepBudgetExceeded:
-            return False
-        return True
+        return self._run_ops(pid, ops)
 
     def record(self, on: bool) -> None:
         self._record = on
@@ -597,12 +611,11 @@ class SimRuntime:
         if self._threaded:
             raise RuntimeError("workers already started")
         self._threaded = True
-        self._workers = [_Worker(self, pid) for pid in range(self.nprocs)]
-        for pid, ops in workload.items():
-            self._workers[pid].queue = list(ops)
+        self._workers = [_Worker(self, pid, workload.get(pid, ()))
+                         for pid in range(self.nprocs)]
         for w in self._workers:
             w.start()
-            self._idle.acquire()   # wait until parked
+            self._idle.acquire()   # wait until parked (or done, if it has no ops)
 
     def _release_and_wait(self, w: _Worker) -> None:
         w.go.release()
@@ -613,8 +626,7 @@ class SimRuntime:
     def grant_step(self, pid: int) -> bool:
         """Let ``pid`` perform its next shared-cell access. True if it did."""
         w = self._workers[pid]
-        if w.state == _PARKED and w.inflight is None and not w.abandoned and w.queue:
-            w.inflight = w.queue.pop(0)
+        if w.state == _PARKED and not w.crashed:     # start its next operation
             self._release_and_wait(w)
         if w.state == _GATE:
             self._release_and_wait(w)
@@ -622,22 +634,14 @@ class SimRuntime:
         return False
 
     def dispatch_recovery(self, pid: int) -> None:
-        """Ask a crashed process to run its recovery function."""
+        """Start a crashed process's recovery; it runs to its first gate."""
         w = self._workers[pid]
-        if not w.crashed or w.inflight is None or w.state != _PARKED:
+        if not w.crashed or w.state != _PARKED:
             raise DispatchError(f"process {pid} has no failed operation to recover")
         self._release_and_wait(w)
 
-    def crashed_pids(self) -> list[int]:
-        """Processes whose failed operation still awaits a recovery dispatch."""
-        return [w.pid for w in self._workers
-                if w.crashed and w.state == _PARKED]
-
     def all_done(self) -> bool:
-        return all(
-            not w.queue and w.inflight is None and not w.crashed
-            for w in self._workers
-        )
+        return all(w.state == _DONE for w in self._workers)
 
     def inconclusive(self) -> bool:
         return any(w.abandoned for w in self._workers)

@@ -392,8 +392,8 @@ def _random_schedule(rng, crash: bool):
     quanta += ((0, 200), (1, 200))
     if crash:
         c = rng.randrange(24)
-        order = (0, 1) if rng.random() < 0.5 else (1, 0)
-        return Schedule(quanta, (c,), (order,))
+        rng.random()    # a spare draw that keeps the seeded sample fixed
+        return Schedule(quanta, (c,))
     return Schedule(quanta)
 
 

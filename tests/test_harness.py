@@ -29,7 +29,7 @@ LIST = STRUCTURES["list"]
 def test_same_schedule_twice_gives_identical_histories():
     wl = {0: [("insert", (5,)), ("delete", (5,))],
           1: [("insert", (5,)), ("insert", (7,))]}
-    sched = Schedule(pattern_quanta("rand0", 2, 600, seed=3), (9,), ((1, 0),))
+    sched = Schedule(pattern_quanta("rand0", 2, 600, seed=3), (9,))
     a = run_schedule(LIST, wl, sched)
     b = run_schedule(LIST, wl, sched)
     assert a.history == b.history
@@ -46,7 +46,7 @@ def test_single_pid_schedule_equals_sequential_run():
 
 def test_crash_event_precedes_recover_begin():
     wl = {0: [("insert", (5,))]}
-    out = run_schedule(LIST, wl, Schedule(((0, 100),), (3,), ((0,),)))
+    out = run_schedule(LIST, wl, Schedule(((0, 100),), (3,)))
     kinds = [type(e).__name__ for e in out.history]
     assert kinds.index("CrashEvent") < kinds.index("RecoverBegin")
     assert out.history[-1].value is True
@@ -80,13 +80,15 @@ def test_pattern_quanta_rejects_unknown():
         pattern_quanta("zigzag", 2, 10)
 
 
-def test_recovery_order_is_respected():
-    wl = {0: [("insert", (5,))], 1: [("insert", (7,))]}
-    quanta = pattern_quanta("rr1", 2, 500)
-    out = run_schedule(LIST, wl, Schedule(quanta, (4,), ((1, 0),)))
-    begins = [e.pid for e in out.history if isinstance(e, RecoverBegin)]
-    assert len(begins) == 2     # both ops were in flight at step 4
-    assert begins[0] == 1       # dispatch follows the given priority
+def test_crash_starts_recoveries_in_pid_order_at_the_crash_time():
+    wl = {0: [("insert", (5,))], 1: [("insert", (7,))], 2: [("insert", (9,))]}
+    quanta = pattern_quanta("rr1", 3, 500)
+    out = run_schedule(LIST, wl, Schedule(quanta, (6,)))
+    [i] = [i for i, e in enumerate(out.history) if isinstance(e, CrashEvent)]
+    begins = out.history[i + 1:i + 4]
+    assert all(isinstance(e, RecoverBegin) for e in begins)  # all in flight
+    assert [e.pid for e in begins] == [0, 1, 2]
+    assert {e.t for e in begins} == {out.history[i].t}
 
 
 def _raising_list():

@@ -1,10 +1,13 @@
 """Pinned histories: a fixed corpus of simulator runs hashes to a constant.
 
-The corpus covers threaded crash-point enumeration (single and double
-crashes) on five structures and direct-mode double-crash scans on two.  Any
-change to scheduling, crash firing, recovery dispatch or event emission that
-alters a single event shows up as a different digest.  A change that is
-meant to alter histories must recompute ``PINNED_SHA256`` and say why.
+The corpus covers threaded runs on five structures and direct-mode
+double-crash scans on two.  The threaded runs are built here rather than by
+``enumerate_crash_points``, so the corpus does not move when enumeration
+does: along each default pattern, the crash-free probe, then twelve seeded
+crash points, each with a single and a double crash.  Any change to
+scheduling, crash firing, recovery start or event emission that alters a
+single event shows up as a different digest.  A change that is meant to
+alter histories must recompute ``PINNED_SHA256`` and say why.
 
 A second corpus pins the flush-protocol list under a volatile cache, with
 the same threaded and direct shapes (``PINNED_LIST_FLUSH_SHA256``).
@@ -15,12 +18,21 @@ import hashlib
 import random
 
 from nvtrack.cli import default_workload
-from nvtrack.harness import STRUCTURES, enumerate_crash_points, run_direct
+from nvtrack.harness import (
+    DEFAULT_PATTERNS,
+    STRUCTURES,
+    Schedule,
+    pattern_quanta,
+    run_direct,
+    run_schedule,
+)
 
-PINNED_SHA256 = "564fcaf867b68aff4bf685bb560f2b7afaf161e3ad04ea229ce85316e1362ad3"
-PINNED_LIST_FLUSH_SHA256 = "67fd5df8d9ed1a762b34b71001cbccb1f4e74c161795a6710e08bfa60189378e"
+PINNED_SHA256 = "53980c3d02b8732f5620e3dcfa26ae9542699bb9cf95edcfc9eab769964a6ff0"
+PINNED_LIST_FLUSH_SHA256 = "9c15ae838cc43beb536403feb7cd3614d4e1e4c3a8fa507c674ada0a93ed6856"
 
 THREADED = ("list", "bst", "stack", "exchanger", "exchanger-timed")
+CRASH_POINTS = 12              # seeded crash points per pattern
+STEP_BUDGET = 300
 DIRECT_SCANS = {
     "list": [[("insert", (7,)), ("delete", (5,)), ("find", (7,))],
              [("delete", (7,)), ("insert", (9,)), ("delete", (9,))]],
@@ -38,12 +50,32 @@ def _serialise(outcome) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def _threaded_runs(name, cache):
+    adapter = STRUCTURES[name]
+    workload, setup, _ = default_workload(name, 2, 2, 1)
+    rng = random.Random(f"pin:{name}")
+
+    def run(schedule, label):
+        return run_schedule(adapter, workload, schedule, setup=setup,
+                            cache=cache, step_budget=STEP_BUDGET, label=label)
+
+    for pattern in DEFAULT_PATTERNS:
+        quanta = pattern_quanta(pattern, 2, 2 * STEP_BUDGET)
+        probe = run(Schedule(quanta), f"{pattern}/no-crash")
+        yield probe
+        if probe.inconclusive:
+            continue
+        total = probe.granted
+        for c in sorted(rng.sample(range(total), min(CRASH_POINTS, total))):
+            c2 = c + 1 + rng.randrange(max(1, total - c))
+            for crashes in ((c,), (c, c2)):
+                at = ",".join(map(str, crashes))
+                yield run(Schedule(quanta, crashes), f"{pattern}/crash@{at}")
+
+
 def _corpus(threaded=THREADED, direct_scans=DIRECT_SCANS, cache="durable"):
     for name in threaded:
-        workload, setup, _ = default_workload(name, 2, 2, 1)
-        yield from enumerate_crash_points(
-            STRUCTURES[name], workload, setup=setup, max_crashes=2,
-            samples=6, step_budget=300, cache=cache)
+        yield from _threaded_runs(name, cache)
     for name, scans in direct_scans.items():
         adapter = STRUCTURES[name]
         for i, ops in enumerate(scans):

@@ -47,15 +47,13 @@ def test_pairing_holds_for_every_crash_placement():
     quanta = pattern_quanta("rr1", 2, 400)
     probe = run_schedule(EXCHANGER, wl, Schedule(quanta), step_budget=300)
     for c in range(probe.granted):
-        for order in ((0, 1), (1, 0)):
-            out = run_schedule(EXCHANGER, wl,
-                               Schedule(quanta, (c,), (order,)),
-                               step_budget=300)
-            assert check_nrl(out.history, ExchangeModel()).ok
-            if not out.inconclusive:
-                r = _responses(out.history)
-                assert r[(0, "exchange")] == 20 and r[(1, "exchange")] == 10
-                assert out.obj.slot.v is out.obj.default
+        out = run_schedule(EXCHANGER, wl, Schedule(quanta, (c,)),
+                           step_budget=300)
+        assert check_nrl(out.history, ExchangeModel()).ok
+        if not out.inconclusive:
+            r = _responses(out.history)
+            assert r[(0, "exchange")] == 20 and r[(1, "exchange")] == 10
+            assert out.obj.slot.v is out.obj.default
 
 
 def test_third_process_helps_or_keeps_waiting():
@@ -105,8 +103,7 @@ def test_timed_recovery_completes_or_abandons():
     quanta = pattern_quanta("rr1", 2, 500)
     probe = run_schedule(TIMED, wl, Schedule(quanta), step_budget=300)
     for c in range(probe.granted):
-        out = run_schedule(TIMED, wl, Schedule(quanta, (c,), ((0, 1),)),
-                           step_budget=300)
+        out = run_schedule(TIMED, wl, Schedule(quanta, (c,)), step_budget=300)
         assert check_nrl(out.history, ExchangeModel()).ok
         assert out.obj.slot.v is out.obj.default or out.inconclusive
 
@@ -117,8 +114,7 @@ def test_crashed_sole_waiter_resumes_waiting_then_pairs():
     wl = {0: [("exchange", (10,))], 1: [("exchange", (20,))]}
     quanta = ((0, 6), (1, 400), (0, 400))
     for c in range(1, 7):
-        out = run_schedule(EXCHANGER, wl,
-                           Schedule(quanta, (c,), ((0, 1),)),
+        out = run_schedule(EXCHANGER, wl, Schedule(quanta, (c,)),
                            step_budget=300)
         assert check_nrl(out.history, ExchangeModel()).ok
         if not out.inconclusive:

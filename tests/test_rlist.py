@@ -137,9 +137,7 @@ def test_rival_delete_between_crash_and_recovery_still_returns_true():
     probe = run_schedule(LIST, wl, Schedule(quanta))
     hit = False
     for c in range(probe.granted):
-        out = run_schedule(LIST, wl,
-                           Schedule(quanta, crashes=(c,),
-                                    recovery_orders=((1, 0),)))
+        out = run_schedule(LIST, wl, Schedule(quanta, crashes=(c,)))
         ops = {(e.pid, e.op): e.value for e in out.history
                if hasattr(e, "value")}
         assert check_nrl(out.history, SetModel()).ok

@@ -1,5 +1,8 @@
 """Elimination stack: LIFO behavior, arbitration, elimination, recovery."""
 
+import dataclasses
+
+from nvtrack.cli import default_workload
 from nvtrack.harness import (
     STRUCTURES,
     Schedule,
@@ -12,7 +15,8 @@ from nvtrack.harness import (
 )
 from nvtrack.checker import StackModel, check_nrl
 from nvtrack.rstack import CentralInfo, EliminationStack, StackNode
-from nvtrack.runtime import EMPTY, NULL, OpDef, SimRuntime, TIMEOUT
+from nvtrack.rexchanger import ExchangeInfo
+from nvtrack.runtime import EMPTY, NULL, OpDef, SimRuntime, TIMEOUT, UNSET
 
 STACK = STRUCTURES["stack"]
 
@@ -228,8 +232,7 @@ def test_push_recover_detects_success_via_pushed_flag_after_rival_pop():
     probe = run_schedule(STACK, wl, Schedule(quanta))
     hit = False
     for c in range(probe.granted):
-        out = run_schedule(STACK, wl,
-                           Schedule(quanta, (c,), ((1, 0),)))
+        out = run_schedule(STACK, wl, Schedule(quanta, (c,)))
         r = {(e.pid, e.op): e.value for e in out.history
              if hasattr(e, "value")}
         assert check_nrl(out.history, StackModel()).ok
@@ -237,3 +240,28 @@ def test_push_recover_detects_success_via_pushed_flag_after_rival_pop():
                 and out.obj.snapshot() == []:
             hit = True
     assert hit
+
+
+def test_three_process_sweep_recovers_from_paired_exchange_records():
+    # with two processes no elimination exchange ever pairs, so only a third
+    # process brings crashes into the collision path of push/pop recovery
+    paired = []
+
+    def watching(recover):
+        def wrapped(obj, pid, *args):
+            rec = obj.m.ctx(pid).rd.v
+            if isinstance(rec, ExchangeInfo) and (
+                    rec.partner.v is not None or rec.result.v is not UNSET):
+                paired.append(pid)
+            return recover(obj, pid, *args)
+        return wrapped
+
+    ops = {name: dataclasses.replace(op, recover=watching(op.recover))
+           for name, op in STACK.ops.items()}
+    adapter = dataclasses.replace(STACK, ops=ops)
+    for seed in (0, 1):
+        wl, setup, initial = default_workload("stack", 3, 2, seed)
+        rep = detectability_sweep(adapter, wl, setup=setup, model_initial=initial,
+                                  seed=seed, samples=40)
+        assert rep.passed, rep.summary()
+    assert paired

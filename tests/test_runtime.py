@@ -161,7 +161,7 @@ def test_invoke_records_invocation_event():
     assert rt.history[0].op == "noop"
 
 
-def test_crash_with_no_inflight_ops_keeps_persisted_heap():
+def test_crash_with_no_ops_in_flight_keeps_persisted_heap():
     rt = SimRuntime(1, cache="volatile")
     c = rt.new_cell(0)
     rt.write(0, c, 4)
