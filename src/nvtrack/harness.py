@@ -4,9 +4,11 @@ A :class:`Schedule` fixes an interleaving as (pid, step-count) quanta and the
 global step indices at which whole-system crashes fire.  A crash starts the
 failed processes' recoveries itself (see ``SimRuntime.crash``), and their
 steps are granted like any others.  :func:`run_schedule` executes exactly
-that plan; once the planned quanta are exhausted, a round-robin drain runs
-every process to completion, so histories are complete unless an operation
-blows its step budget (reported inconclusive).
+that plan on the calling thread, where each process is a generator that
+``SimRuntime`` resumes one step at a time; once the planned quanta are
+exhausted, a round-robin drain runs every process to completion, so
+histories are complete unless an operation blows its step budget (reported
+inconclusive).
 
 :func:`enumerate_crash_points` systematizes crash placement: for each base
 interleaving pattern it probes the crash-free run length, then replays the
@@ -213,7 +215,7 @@ def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
     """Execute exactly the given interleaving, then drain to completion.
 
     An exception raised inside an operation or recovery propagates out of
-    this call once every worker has been stopped."""
+    this call once every process has been closed."""
     nprocs = max(workload) + 1 if workload else 1
     rt, obj = _prepared_runtime(adapter, nprocs, setup, cache=cache, policy=policy,
                                 seed=seed, step_budget=step_budget, trace=trace)
@@ -375,17 +377,6 @@ def detectability_sweep(adapter: StructureAdapter, workload: dict, *,
 # ---------------------------------------------------------------------------
 # Trace invariants
 # ---------------------------------------------------------------------------
-
-def mark_transitions_monotone(trace) -> bool:
-    """A next-field mark only ever goes False -> True, once per node."""
-    marked_cells = set()
-    for kind, _pid, cell, old, new, ok, note, _t in trace:
-        if kind == "cas" and note == "mark" and ok:
-            if id(cell) in marked_cells:
-                return False
-            marked_cells.add(id(cell))
-    return True
-
 
 def write_once(trace, note: str) -> bool:
     """Each cell wins at most one successful CAS tagged ``note``."""

@@ -8,8 +8,9 @@ recovery-data reference ``rd``).  Two backends implement the API:
 * :class:`NativeRuntime` -- plain objects and real threads, no crash
   injection; used by the benchmark CLI.
 * :class:`SimRuntime` -- a cooperative single-stepping backend where every
-  shared-cell access is a scheduling point.  A deterministic driver (see
-  ``harness``) interleaves logical processes step by step and injects
+  shared-cell access is a scheduling point.  Each logical process is a
+  generator (see ``derive``) run on the caller's thread; a deterministic
+  driver (see ``harness``) interleaves them step by step and injects
   whole-system crashes; a crash fails every in-flight operation and starts
   each failed process's recovery function.  Every operation and recovery
   runs, and records its history events, through one method, and every crash
@@ -32,6 +33,8 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Sequence
+
+from . import derive
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +187,12 @@ class CrashPolicy:
 
     ``drop-all`` is the deterministic worst case: every unflushed write is
     lost.  ``drop-random`` keeps each unflushed write independently with
-    probability ``survival_prob`` (seeded, hence deterministic).
+    probability ``survival_prob``, drawn from the runtime's seeded rng.
     ``callback`` delegates the survival decision per cell.
     """
 
     mode: str = "drop-all"
     survival_prob: float = 0.0
-    seed: int = 0
     callback: Optional[Callable[[Cell], bool]] = None
 
     def survives(self, cell: Cell, rng: random.Random) -> bool:
@@ -283,57 +285,14 @@ class StepBudgetExceeded(Exception):
     """The current operation attempt used more steps than its budget."""
 
 
-class _KillWorker(Exception):
-    pass
-
-
 class DispatchError(Exception):
     """Recovery was dispatched for a process with no failed operation."""
 
 
-_PARKED, _GATE, _RUNNING, _DONE = "parked", "gate", "running", "done"
-
-
-class _Worker(threading.Thread):
-    """One logical process: runs its operations through
-    :meth:`SimRuntime._run_ops`, parking before each attempt until the
-    scheduler wakes it and pausing at every gate."""
-
-    def __init__(self, rt: "SimRuntime", pid: int,
-                 ops: Sequence[tuple[OpDef, tuple]]) -> None:
-        super().__init__(name=f"simproc-{pid}", daemon=True)
-        self.rt = rt
-        self.pid = pid
-        self.ops = ops
-        self.state = _RUNNING          # until it first parks
-        self.go = threading.Semaphore(0)
-        self.crash_pending = False
-        self.kill = False
-        self.crashed = False           # the parked attempt is a recovery
-        self.abandoned = False
-        self.error: Optional[Exception] = None
-
-    # The worker only touches its own flags while the scheduler is blocked
-    # on rt._idle, and vice versa, so no extra locking is needed.
-
-    def _park(self, recovering: bool) -> None:
-        self.crashed = recovering
-        self.state = _PARKED
-        self.rt._idle.release()
-        self.go.acquire()
-        if self.kill:
-            raise _KillWorker()
-        self.state = _RUNNING
-
-    def run(self) -> None:
-        try:
-            self.abandoned = not self.rt._run_ops(self.pid, self.ops, self._park)
-        except _KillWorker:
-            pass
-        except Exception as exc:       # re-raised by the scheduler
-            self.error = exc
-        self.state = _DONE
-        self.rt._idle.release()
+# Where a process stopped: derived code yields _GATE (None) at a scheduling
+# point, and ``SimRuntime._park`` yields _START or _RECOVER before an attempt.
+_GATE, _START, _RECOVER = None, "start", "recover"
+_DONE, _ABANDONED = "done", "abandoned"
 
 
 class SimRuntime:
@@ -345,10 +304,11 @@ class SimRuntime:
 
     * *direct*: operations run synchronously on the calling thread
       (single-process workloads; optional planned crash steps).
-    * *threaded*: one worker per process, advanced one shared-cell access at
-      a time via :meth:`grant_step`, with :meth:`crash` available between
-      steps.  An exception an operation raises stops its worker and is
-      re-raised by the call that woke it.
+    * *process*: one generator per process (the twin :mod:`derive` makes of
+      :meth:`_run_ops`), advanced one shared-cell access at a time via
+      :meth:`grant_step`, with :meth:`crash` available between steps.  All
+      of it runs on the calling thread.  An exception an operation raises
+      ends its process and propagates out of the call that resumed it.
     """
 
     kind = "sim"
@@ -372,9 +332,9 @@ class SimRuntime:
         self._rng = random.Random(seed)
         self._op_steps = [0] * nprocs
         self._crash_plan: list[int] = []
-        self._workers: list[_Worker] = []
-        self._idle = threading.Semaphore(0)
-        self._threaded = False
+        self._procs: list = []         # one generator per process
+        self._at: list = []            # where each process stopped
+        self._granted: Optional[int] = None   # pid let through its gate
         #: optional callable invoked right after crash semantics are applied
         #: (cells reverted, in-flight ops failed), before any recovery runs
         self.on_crash: Optional[Callable[[], None]] = None
@@ -410,22 +370,15 @@ class SimRuntime:
         if pid is None:            # setup/inspection context: not a crash point
             self.steps += 1
             return
-        if not self._threaded:
-            if self._crash_plan and self.steps == self._crash_plan[0]:
-                self._crash_plan.pop(0)
-                self.crash()
-                raise CrashUnwind()
-        else:
-            w = self._workers[pid]
-            w.state = _GATE
-            self._idle.release()
-            w.go.acquire()
-            w.state = _RUNNING
-            if w.kill:
-                raise _KillWorker()
-            if w.crash_pending:
-                w.crash_pending = False
-                raise CrashUnwind()
+        if self._procs:
+            if self._granted != pid:
+                raise RuntimeError(f"process {pid} made a shared-cell access "
+                                   "with no scheduling point before it")
+            self._granted = None
+        elif self._crash_plan and self.steps == self._crash_plan[0]:
+            self._crash_plan.pop(0)
+            self.crash()
+            raise CrashUnwind()
         self._op_steps[pid] += 1
         if self._op_steps[pid] > self.step_budget:
             raise StepBudgetExceeded()
@@ -495,7 +448,7 @@ class SimRuntime:
     def crash(self, policy: Optional[CrashPolicy] = None) -> None:
         """Whole-system crash: fail in-flight ops, drop unflushed writes.
 
-        In threaded mode each failed process then starts its recovery, in
+        In process mode each failed process then starts its recovery, in
         pid order, and pauses at the recovery's first gate.  Starting a
         recovery takes no step, and no recovery allocates a cell before its
         first shared-cell access, so no other order could change the history
@@ -503,14 +456,9 @@ class SimRuntime:
         crash's ``t``."""
         if policy is not None:
             self.policy = policy
-        failed: list[_Worker] = []
-        if self._threaded:
-            if any(w.state == _RUNNING for w in self._workers):
-                raise RuntimeError("scheduler re-entered while a worker runs")
-            failed = [w for w in self._workers if w.state == _GATE]
-            for w in failed:
-                w.crash_pending = True
-                self._release_and_wait(w)
+        failed = [pid for pid, at in enumerate(self._at) if at is _GATE]
+        for pid in failed:
+            self._advance(pid, CrashUnwind())
         self._emit(CrashEvent(self.steps))
         for cell in self._vcells:
             if cell.v is not cell.p and cell.v != cell.p:
@@ -520,8 +468,8 @@ class SimRuntime:
                     cell.v = cell.p
         if self.on_crash is not None:
             self.on_crash()
-        for w in failed:
-            self.dispatch_recovery(w.pid)
+        for pid in failed:
+            self.dispatch_recovery(pid)
 
     # -- operations ---------------------------------------------------------
 
@@ -583,7 +531,7 @@ class SimRuntime:
 
     def invoke(self, pid: int, opdef: OpDef, args: tuple = ()) -> Any:
         """Run one operation synchronously (direct mode, no planned crash)."""
-        if self._threaded:
+        if self._procs:
             raise RuntimeError("invoke() is only available before start_workers()")
         return self._run_op(pid, opdef, args, False)
 
@@ -596,7 +544,7 @@ class SimRuntime:
         further crashes land inside recovery) before the workload continues.
         Returns False if an operation exhausted its step budget.
         """
-        if self._threaded:
+        if self._procs:
             raise RuntimeError("direct runs are unavailable after start_workers()")
         self._crash_plan = sorted(crash_steps)
         return self._run_ops(pid, ops)
@@ -604,56 +552,65 @@ class SimRuntime:
     def record(self, on: bool) -> None:
         self._record = on
 
-    # -- threaded driving ---------------------------------------------------
+    # -- process driving ----------------------------------------------------
 
     def start_workers(self, workload: dict[int, list[tuple[OpDef, tuple]]]) -> None:
-        """Spawn one worker per process; each runs its queued operations."""
-        if self._threaded:
+        """Create one process per pid; each parks before its first operation."""
+        if self._procs:
             raise RuntimeError("workers already started")
-        self._threaded = True
-        self._workers = [_Worker(self, pid, workload.get(pid, ()))
-                         for pid in range(self.nprocs)]
-        for w in self._workers:
-            w.start()
-            self._idle.acquire()   # wait until parked (or done, if it has no ops)
+        run_ops = derive.twin(self._run_ops)
+        self._procs = [run_ops(pid, workload.get(pid, ()), self._park)
+                       for pid in range(self.nprocs)]
+        self._at = [_DONE] * self.nprocs
+        for pid in range(self.nprocs):
+            self._advance(pid)
 
-    def _release_and_wait(self, w: _Worker) -> None:
-        w.go.release()
-        self._idle.acquire()
-        if w.error is not None:
-            raise w.error
+    def _park(self, recovering: bool):
+        """A process's ``wait``: it parks before every attempt, telling the
+        driver whether that attempt is a recovery."""
+        yield _RECOVER if recovering else _START
+
+    def _advance(self, pid: int, exc: Optional[Exception] = None) -> None:
+        """Run ``pid`` to its next yield, first raising ``exc`` at the yield it
+        stopped at, if given.  An exception its operation raises propagates."""
+        at, proc = self._at, self._procs[pid]
+        at[pid] = _DONE
+        try:
+            at[pid] = next(proc) if exc is None else proc.throw(exc)
+        except StopIteration as stop:
+            at[pid] = _DONE if stop.value else _ABANDONED
 
     def grant_step(self, pid: int) -> bool:
         """Let ``pid`` perform its next shared-cell access. True if it did."""
-        w = self._workers[pid]
-        if w.state == _PARKED and not w.crashed:     # start its next operation
-            self._release_and_wait(w)
-        if w.state == _GATE:
-            self._release_and_wait(w)
-            return True
-        return False
+        if self._at[pid] is _START:          # start its next operation
+            self._advance(pid)
+        if self._at[pid] is not _GATE:
+            return False
+        self._granted = pid
+        self._advance(pid)
+        if self._granted is not None:
+            raise RuntimeError(f"process {pid} passed a scheduling point "
+                               "without a shared-cell access")
+        return True
 
     def dispatch_recovery(self, pid: int) -> None:
         """Start a crashed process's recovery; it runs to its first gate."""
-        w = self._workers[pid]
-        if not w.crashed or w.state != _PARKED:
+        if self._at[pid] is not _RECOVER:
             raise DispatchError(f"process {pid} has no failed operation to recover")
-        self._release_and_wait(w)
+        self._advance(pid)
 
     def all_done(self) -> bool:
-        return all(w.state == _DONE for w in self._workers)
+        return self._at.count(_DONE) + self._at.count(_ABANDONED) == len(self._at)
 
     def inconclusive(self) -> bool:
-        return any(w.abandoned for w in self._workers)
+        return _ABANDONED in self._at
 
     def close(self) -> None:
-        if not self._threaded:
-            return
-        for w in self._workers:
-            w.kill = True
-            while w.state in (_GATE, _PARKED):
-                w.go.release()
-                self._idle.acquire()
-        for w in self._workers:
-            w.join(timeout=5)
-        self._threaded = False
+        """Close every process (one paused mid-operation unwinds from its
+        yield); the runtime is back in direct mode."""
+        for proc in self._procs:
+            proc.close()
+        self._procs, self._at, self._granted = [], [], None
+
+
+derive.TWINS[SimRuntime._park] = SimRuntime._park   # already a generator

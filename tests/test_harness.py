@@ -1,6 +1,7 @@
 """Scheduler determinism, history structure, and budget handling."""
 
 import dataclasses
+import inspect
 import threading
 
 import pytest
@@ -140,3 +141,49 @@ def test_raising_op_is_an_errored_violation_not_an_aborted_sweep():
     assert all("ValueError: boom" in detail for _, detail in report.violations)
     assert not [th.name for th in threading.enumerate()
                 if th.name.startswith("simproc-")]
+
+
+def _with_op(name, fn):
+    return dataclasses.replace(LIST, ops=dict(LIST.ops, **{name: OpDef(name, fn, fn)}))
+
+
+def test_processes_run_on_the_calling_thread():
+    seen = []
+
+    def count(obj, pid, *args):
+        seen.append(threading.active_count())
+        return obj.m.read(pid, obj.head.next).marked
+
+    before = threading.active_count()
+    run_schedule(_with_op("count", count), {0: [("count", ())], 1: [("count", ())]},
+                 Schedule(pattern_quanta("rr1", 2, 10)))
+    assert seen == [before, before]
+
+
+def test_access_inside_a_comprehension_has_no_scheduling_point():
+    def peek(obj, pid, *args):
+        return [obj.m.read(pid, nd.next) for nd in (obj.head, obj.tail)]
+
+    with pytest.raises(RuntimeError, match="no scheduling point"):
+        run_schedule(_with_op("peek", peek), {0: [("peek", ())]},
+                     Schedule(((0, 10),)))
+
+
+def test_op_whose_source_cannot_be_read_is_an_errored_run():
+    namespace = {}
+    exec("def sourceless(obj, pid, *args):\n    return obj.find(pid, 5)\n",
+         namespace)
+    report = detectability_sweep(_with_op("find", namespace["sourceless"]),
+                                 {0: [("find", (5,))]}, patterns=("rr1",))
+    [(label, detail)] = report.violations
+    assert label == "rr1/no-crash [errored]"
+    assert "cannot derive a simulated process from sourceless" in detail
+
+
+def test_errored_run_traceback_points_at_the_op_source_line():
+    boom = _raising_list().ops["boom"].call
+    _, start = inspect.getsourcelines(boom)
+    report = detectability_sweep(_raising_list(), {0: [("boom", ())]},
+                                 patterns=("rr1",))
+    [(_, detail)] = report.violations
+    assert f'test_harness.py", line {start + 2}, in boom' in detail

@@ -8,7 +8,6 @@ from nvtrack.harness import (
     Schedule,
     detectability_sweep,
     link_once_per_node,
-    mark_transitions_monotone,
     pattern_quanta,
     run_direct,
     run_schedule,
@@ -174,7 +173,7 @@ def test_trace_invariants_over_contended_schedules():
         out = run_schedule(LIST, wl, Schedule(quanta), trace=True,
                            setup=(("insert", (3,)),))
         trace = out.rt.trace
-        assert mark_transitions_monotone(trace)
+        assert write_once(trace, "mark")
         assert write_once(trace, "deleter")
         assert unlink_once(trace)
         assert link_once_per_node(trace)

@@ -104,8 +104,8 @@ def test_creator_writes_persist_until_another_process_touches():
 def test_drop_random_policy_is_deterministic():
     def survivors(seed):
         rt = SimRuntime(1, cache="volatile",
-                        policy=CrashPolicy("drop-random", survival_prob=0.5,
-                                           seed=seed), seed=seed)
+                        policy=CrashPolicy("drop-random", survival_prob=0.5),
+                        seed=seed)
         cells = [rt.new_cell(0) for _ in range(32)]
         for c in cells:
             rt.write(0, c, 1)
@@ -204,6 +204,26 @@ def test_dispatch_on_never_crashed_pid_errors():
             rt.dispatch_recovery(0)
     finally:
         rt.close()
+
+
+def test_a_nested_access_takes_its_step_before_the_outer_one():
+    rt = SimRuntime(2)
+    rt.bind(None)
+    a, b = rt.new_cell(0), rt.new_cell(0)
+
+    def copy(obj, pid):
+        rt.write(pid, a, rt.read(pid, b) + 1)
+
+    def bump(obj, pid):
+        rt.write(pid, b, 5)
+
+    rt.start_workers({0: [(OpDef("copy", copy, copy), ())],
+                      1: [(OpDef("bump", bump, bump), ())]})
+    try:
+        assert [rt.grant_step(pid) for pid in (0, 1, 0)] == [True] * 3
+    finally:
+        rt.close()
+    assert a.v == 1            # read b before the other process wrote it
 
 
 def test_nested_reinvocation_resets_checkpoint_again():
