@@ -34,7 +34,8 @@ _CODES: dict = {}                      # code object -> the twin's code, or None
 def twin(fn):
     """The generator twin of callable ``fn``, or None to call ``fn`` as it is."""
     if type(fn) is types.MethodType:
-        t = twin(fn.__func__)
+        func = fn.__func__
+        t = TWINS[func] if func in TWINS else twin(func)
         return None if t is None else types.MethodType(t, fn.__self__)
     if type(fn) is not types.FunctionType:
         return None                    # classes, builtins, other callables

@@ -5,10 +5,12 @@ global step indices at which whole-system crashes fire.  A crash starts the
 failed processes' recoveries itself (see ``SimRuntime.crash``), and their
 steps are granted like any others.  :func:`run_schedule` executes exactly
 that plan on the calling thread, where each process is a generator that
-``SimRuntime`` resumes one step at a time; once the planned quanta are
-exhausted, a round-robin drain runs every process to completion, so
-histories are complete unless an operation blows its step budget (reported
-inconclusive).
+``SimRuntime`` resumes one step at a time.  A grant goes only to a process
+that has not finished (one still in ``SimRuntime.live``): the rest of a
+finished process's quantum is skipped, which changes no history, since such
+a grant would do nothing.  Once the planned quanta are exhausted, a
+round-robin drain runs every live process to completion, so histories are
+complete unless an operation blows its step budget (reported inconclusive).
 
 :func:`enumerate_crash_points` systematizes crash placement: for each base
 interleaving pattern it probes the crash-free run length, then replays the
@@ -147,11 +149,6 @@ class Schedule:
     quanta: tuple = ()
     crashes: tuple = ()
 
-    def stream(self) -> Iterator[int]:
-        for pid, count in self.quanta:
-            for _ in range(count):
-                yield pid
-
 
 def pattern_quanta(pattern: str, pids: int, length: int, seed: int = 0) -> tuple:
     """Named base interleavings: rr<k> (round robin, quantum k), block
@@ -214,6 +211,13 @@ def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
                  label: str = "") -> RunOutcome:
     """Execute exactly the given interleaving, then drain to completion.
 
+    Each quantum grants up to ``count`` steps to its pid and ends early once
+    that process has finished; the quanta stop once every process has
+    finished and no crash is pending.  Crashes due by the steps granted so
+    far fire before each grant, so with T the crash-free run's step count, a
+    crash at index T fires after every process has finished (and ends the
+    history) if any quantum entry remains, while one at T+1 never fires.
+
     An exception raised inside an operation or recovery propagates out of
     this call once every process has been closed."""
     nprocs = max(workload) + 1 if workload else 1
@@ -223,28 +227,32 @@ def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
                       for pid, ops in workload.items()})
     granted = 0
     crashes = list(schedule.crashes)
+    live = rt.live
     try:
-        for pid in schedule.stream():
-            if crashes and crashes[0] <= granted:
-                _fire_due_crashes(rt, crashes, granted)
-            if rt.grant_step(pid):
-                granted += 1
-            if rt.all_done() and not crashes:
+        for pid, count in schedule.quanta:
+            for _ in range(count):
+                if crashes and crashes[0] <= granted:
+                    _fire_due_crashes(rt, crashes, granted)
+                if pid not in live:
+                    break
+                if rt.grant_step(pid):
+                    granted += 1
+            if not live and not crashes:
                 break
         # drain: fire leftover crashes and finish round-robin
         cap = step_budget * nprocs * 3 + 1024
         spins = 0
-        while not rt.all_done() and spins < cap:
+        while live and spins < cap:
             _fire_due_crashes(rt, crashes, granted)
             progressed = False
-            for pid in range(nprocs):
+            for pid in sorted(live):
                 if rt.grant_step(pid):
                     granted += 1
                     progressed = True
                     spins += 1
             if not progressed:
                 break
-        inconclusive = rt.inconclusive() or not rt.all_done()
+        inconclusive = rt.inconclusive() or bool(live)
     finally:
         rt.close()
     return RunOutcome(rt.history, rt, obj, schedule, granted, inconclusive, label)

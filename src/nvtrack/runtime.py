@@ -334,6 +334,7 @@ class SimRuntime:
         self._crash_plan: list[int] = []
         self._procs: list = []         # one generator per process
         self._at: list = []            # where each process stopped
+        self.live: set = set()         # pids whose process has not finished
         self._granted: Optional[int] = None   # pid let through its gate
         #: optional callable invoked right after crash semantics are applied
         #: (cells reverted, in-flight ops failed), before any recovery runs
@@ -562,6 +563,7 @@ class SimRuntime:
         self._procs = [run_ops(pid, workload.get(pid, ()), self._park)
                        for pid in range(self.nprocs)]
         self._at = [_DONE] * self.nprocs
+        self.live = set(range(self.nprocs))
         for pid in range(self.nprocs):
             self._advance(pid)
 
@@ -579,6 +581,7 @@ class SimRuntime:
             at[pid] = next(proc) if exc is None else proc.throw(exc)
         except StopIteration as stop:
             at[pid] = _DONE if stop.value else _ABANDONED
+            self.live.discard(pid)
 
     def grant_step(self, pid: int) -> bool:
         """Let ``pid`` perform its next shared-cell access. True if it did."""
@@ -599,9 +602,6 @@ class SimRuntime:
             raise DispatchError(f"process {pid} has no failed operation to recover")
         self._advance(pid)
 
-    def all_done(self) -> bool:
-        return self._at.count(_DONE) + self._at.count(_ABANDONED) == len(self._at)
-
     def inconclusive(self) -> bool:
         return _ABANDONED in self._at
 
@@ -611,6 +611,7 @@ class SimRuntime:
         for proc in self._procs:
             proc.close()
         self._procs, self._at, self._granted = [], [], None
+        self.live.clear()
 
 
 derive.TWINS[SimRuntime._park] = SimRuntime._park   # already a generator

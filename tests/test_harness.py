@@ -6,6 +6,8 @@ import threading
 
 import pytest
 
+from nvtrack import harness
+from nvtrack.cli import default_workload
 from nvtrack.harness import (
     DEFAULT_PATTERNS,
     STRUCTURES,
@@ -22,6 +24,7 @@ from nvtrack.runtime import (
     OpDef,
     RecoverBegin,
     Response,
+    SimRuntime,
 )
 
 LIST = STRUCTURES["list"]
@@ -187,3 +190,60 @@ def test_errored_run_traceback_points_at_the_op_source_line():
                                  patterns=("rr1",))
     [(_, detail)] = report.violations
     assert f'test_harness.py", line {start + 2}, in boom' in detail
+
+
+@pytest.mark.parametrize("name,pids,ops,seed", [("list", 2, 2, 1), ("stack", 3, 2, 0)])
+def test_sweep_grants_steps_only_to_processes_that_can_step(monkeypatch, name, pids,
+                                                            ops, seed):
+    calls = [0]
+    granted = [0]
+
+    class CountingRuntime(SimRuntime):
+        def grant_step(self, pid):
+            calls[0] += 1
+            return super().grant_step(pid)
+
+    def counted_run_schedule(*args, **kwargs):
+        outcome = run_schedule(*args, **kwargs)
+        granted[0] += outcome.granted
+        return outcome
+
+    monkeypatch.setattr(harness, "SimRuntime", CountingRuntime)
+    monkeypatch.setattr(harness, "run_schedule", counted_run_schedule)
+    workload, setup, initial = default_workload(name, pids, ops, seed)
+    report = detectability_sweep(STRUCTURES[name], workload, setup=setup,
+                                 model_initial=initial)
+    assert report.passed and report.total > 100
+    assert calls[0] == granted[0] > 0
+
+
+TWO_INSERTS = {0: [("insert", (5,))], 1: [("insert", (7,))]}
+BLOCK = pattern_quanta("block", 2, 500)     # quanta outlast both processes
+
+
+def test_crash_at_the_final_step_fires_only_while_quanta_remain():
+    steps = run_schedule(LIST, TWO_INSERTS, Schedule(BLOCK)).granted
+    out = run_schedule(LIST, TWO_INSERTS, Schedule(BLOCK, (steps,)))
+    assert out.history[-1] == CrashEvent(steps)
+    assert sum(isinstance(e, CrashEvent) for e in out.history) == 1
+    exact = ((0, steps),)                   # no quantum entry after the last step
+    out = run_schedule(LIST, {0: [("insert", (5,))]}, Schedule(exact, (steps,)))
+    assert not any(isinstance(e, CrashEvent) for e in out.history)
+
+
+def test_crash_after_the_final_step_never_fires():
+    steps = run_schedule(LIST, TWO_INSERTS, Schedule(BLOCK)).granted
+    out = run_schedule(LIST, TWO_INSERTS, Schedule(BLOCK, (steps + 1,)))
+    assert not any(isinstance(e, CrashEvent) for e in out.history)
+    assert out.granted == steps and not out.inconclusive
+
+
+@pytest.mark.parametrize("crashes", [(), (3,), (2, 9)])
+def test_empty_quanta_and_quanta_of_finished_processes_change_nothing(crashes):
+    quanta = ((0, 2), (1, 3), (0, 400), (1, 1), (1, 400))
+    padded = ((1, 0), (0, 2), (0, 0), (1, 3), (0, 400), (0, 5), (1, 0),
+              (1, 1), (0, 9), (1, 400), (0, 3), (1, 7))
+    a = run_schedule(LIST, TWO_INSERTS, Schedule(quanta, crashes))
+    b = run_schedule(LIST, TWO_INSERTS, Schedule(padded, crashes))
+    assert a.history == b.history and a.granted == b.granted
+    assert [type(e) for e in a.history].count(CrashEvent) == len(crashes)
