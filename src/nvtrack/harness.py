@@ -11,15 +11,23 @@ finished process's quantum is skipped, which changes no history, since such
 a grant would do nothing.  Once the planned quanta are exhausted, a
 round-robin drain runs every live process to completion, so histories are
 complete unless an operation blows its step budget (reported inconclusive).
+That driver loop is a generator that stops wherever a crash falls due, so
+it can be resumed from any crash point.
 
 :func:`enumerate_crash_points` systematizes crash placement: for each base
-interleaving pattern it probes the crash-free run length, then replays the
+interleaving pattern it probes the crash-free run length, then runs the
 pattern with a crash at every step index (or a seeded sample of them).
-Starting a recovery takes no step, so the order in which recoveries start is
-unobservable and is not enumerated.  :func:`detectability_sweep` bundles
-that with the crash-extended linearizability and strict-recoverability
-checks; a run whose operation or recovery raises is reported as an errored
-violation instead of aborting the sweep.
+Those crash runs share their crash-free prefix: one more crash-free run
+stops at each crash point, saves the runtime, crashes it on fresh process
+generators, runs that branch to its end and yields it, then restores the
+runtime and goes on.  Each branch's outcome equals that of a fresh
+:func:`run_schedule` on its schedule, but its ``rt`` and ``obj`` are valid
+only until the next outcome is requested.  Starting a recovery takes no
+step, so the order in which recoveries start is unobservable and is not
+enumerated.  :func:`detectability_sweep` bundles that with the
+crash-extended linearizability and strict-recoverability checks; a run
+whose operation or recovery raises is reported as an errored violation
+instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -51,6 +59,9 @@ class StructureAdapter:
     ops: dict
     model: Callable[..., Any]
     strict_exempt: tuple = ("find", "contains")
+    #: save and restore simulated state the structure keeps outside cells
+    save_private: Optional[Callable[[Any], Any]] = None
+    restore_private: Optional[Callable[[Any, Any], None]] = None
 
 
 def _timed_exchange_call(obj, pid, value):
@@ -121,7 +132,9 @@ STRUCTURES = {
     "stack": StructureAdapter(
         "stack",
         lambda rt: rstack.EliminationStack(rt, slots=4, exchange_wait=24),
-        STACK_OPS, StackModel, strict_exempt=()),
+        STACK_OPS, StackModel, strict_exempt=(),
+        save_private=rstack.EliminationStack.save_private,
+        restore_private=rstack.EliminationStack.restore_private),
     "bst": StructureAdapter(
         "bst", lambda rt: rbst.RecoverableBst(rt), BST_OPS, SetModel),
     "exchanger": StructureAdapter(
@@ -198,11 +211,65 @@ def _prepared_runtime(adapter: StructureAdapter, nprocs: int, setup: Sequence,
     return rt, obj
 
 
-def _fire_due_crashes(rt: SimRuntime, crashes: list, granted: int) -> None:
-    """Fire each crash due by ``granted`` steps."""
-    while crashes and crashes[0] <= granted:
-        crashes.pop(0)
-        rt.crash()
+def _started_runtime(adapter: StructureAdapter, workload: dict, setup: Sequence,
+                     **rt_kwargs) -> tuple:
+    """A prepared runtime with one process per pid of ``workload`` started."""
+    nprocs = max(workload) + 1 if workload else 1
+    rt, obj = _prepared_runtime(adapter, nprocs, setup, **rt_kwargs)
+    rt.start_workers({pid: [(adapter.ops[name], args) for name, args in ops]
+                      for pid, ops in workload.items()})
+    return rt, obj
+
+
+def _drive(rt: SimRuntime, quanta: tuple, crashes: list, at: tuple = (0, 0, 0, 0)):
+    """The driver loop, a generator resumable at any crash point.
+
+    From position ``at`` = (quantum index, entry index, steps granted, drain
+    spins) it grants the rest of ``quanta`` and then drains.  Before each
+    quantum entry and each drain round at which the first of ``crashes`` is
+    due, it yields its position; the caller pops and fires the due crashes
+    (or branches there) before resuming it.  Returns the steps granted."""
+    qi, j, granted, spins = at
+    live = rt.live
+    for qi in range(qi, len(quanta)):
+        pid, count = quanta[qi]
+        for j in range(j, count):
+            if crashes and crashes[0] <= granted:
+                yield qi, j, granted, spins
+            if pid not in live:
+                break
+            if rt.grant_step(pid):
+                granted += 1
+        j = 0
+        if not live and not crashes:
+            break
+    # drain: stop at leftover crashes and finish round-robin
+    cap = rt.step_budget * rt.nprocs * 3 + 1024
+    while live and spins < cap:
+        if crashes and crashes[0] <= granted:
+            yield len(quanta), 0, granted, spins
+        progressed = False
+        for pid in sorted(live):
+            if rt.grant_step(pid):
+                granted += 1
+                progressed = True
+                spins += 1
+        if not progressed:
+            break
+    return granted
+
+
+def _finish(rt: SimRuntime, drive, crashes: list) -> tuple:
+    """Run ``drive`` to its end, firing each of ``crashes`` once it is due;
+    return the steps granted and whether the run was inconclusive."""
+    while True:
+        try:
+            granted = next(drive)[2]
+        except StopIteration as stop:
+            return stop.value, rt.inconclusive() or bool(rt.live)
+        while crashes and crashes[0] <= granted:
+            crashes.pop(0)
+            rt.crash()
 
 
 def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
@@ -220,39 +287,12 @@ def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
 
     An exception raised inside an operation or recovery propagates out of
     this call once every process has been closed."""
-    nprocs = max(workload) + 1 if workload else 1
-    rt, obj = _prepared_runtime(adapter, nprocs, setup, cache=cache, policy=policy,
-                                seed=seed, step_budget=step_budget, trace=trace)
-    rt.start_workers({pid: [(adapter.ops[name], args) for name, args in ops]
-                      for pid, ops in workload.items()})
-    granted = 0
+    rt, obj = _started_runtime(adapter, workload, setup, cache=cache, policy=policy,
+                               seed=seed, step_budget=step_budget, trace=trace)
     crashes = list(schedule.crashes)
-    live = rt.live
     try:
-        for pid, count in schedule.quanta:
-            for _ in range(count):
-                if crashes and crashes[0] <= granted:
-                    _fire_due_crashes(rt, crashes, granted)
-                if pid not in live:
-                    break
-                if rt.grant_step(pid):
-                    granted += 1
-            if not live and not crashes:
-                break
-        # drain: fire leftover crashes and finish round-robin
-        cap = step_budget * nprocs * 3 + 1024
-        spins = 0
-        while live and spins < cap:
-            _fire_due_crashes(rt, crashes, granted)
-            progressed = False
-            for pid in sorted(live):
-                if rt.grant_step(pid):
-                    granted += 1
-                    progressed = True
-                    spins += 1
-            if not progressed:
-                break
-        inconclusive = rt.inconclusive() or bool(live)
+        granted, inconclusive = _finish(rt, _drive(rt, schedule.quanta, crashes),
+                                        crashes)
     finally:
         rt.close()
     return RunOutcome(rt.history, rt, obj, schedule, granted, inconclusive, label)
@@ -281,6 +321,60 @@ def run_direct(adapter: StructureAdapter, ops: Sequence, *, setup: Sequence = ()
 # Crash-point enumeration
 # ---------------------------------------------------------------------------
 
+def _errored(schedule: Schedule, label: str) -> RunOutcome:
+    """The outcome of a run that raised the exception being handled."""
+    return RunOutcome([], None, None, schedule, 0, False, label,
+                      error=traceback.format_exc())
+
+
+def _branch(rt: SimRuntime, obj: Any, quanta: tuple, at: tuple, crashes: tuple,
+            label: str) -> RunOutcome:
+    """The run of ``Schedule(quanta, crashes)``, taken from a crash-free run
+    paused at position ``at``, where its first crash is due: it crashes on
+    fresh processes there and runs to its end.  Its processes are closed."""
+    schedule = Schedule(quanta, crashes)
+    rest = list(crashes[1:])
+    try:
+        rt.crash_branch()
+        granted, inconclusive = _finish(rt, _drive(rt, quanta, rest, at), rest)
+    except Exception:
+        return _errored(schedule, label)
+    finally:
+        rt.close()
+    return RunOutcome(rt.history, rt, obj, schedule, granted, inconclusive, label)
+
+
+def _crash_runs(adapter: StructureAdapter, workload: dict, quanta: tuple,
+                crash_sets: dict, pattern: str, *, setup: Sequence,
+                **rt_kwargs) -> Iterator[RunOutcome]:
+    """One run per crash set in ``crash_sets`` (first crash -> its crash sets,
+    in order of first crash), each a branch off one crash-free run of
+    ``quanta`` where that run would fire its first crash.  The crash-free
+    run is saved there and restored after each branch has been yielded, so
+    each outcome equals that of ``run_schedule`` on its schedule."""
+    if not crash_sets:
+        return
+    points = list(crash_sets)
+    rt, obj = _started_runtime(adapter, workload, setup, **rt_kwargs)
+    try:
+        for at in _drive(rt, quanta, points):
+            saved = rt.save()
+            private = adapter.save_private(obj) if adapter.save_private else None
+            while points and points[0] <= at[2]:
+                for crashes in crash_sets[points.pop(0)]:
+                    label = f"{pattern}/crash@{','.join(map(str, crashes))}"
+                    try:
+                        yield _branch(rt, obj, quanta, at, crashes, label)
+                    finally:
+                        rt.restore(saved)
+                        if adapter.restore_private:
+                            adapter.restore_private(obj, private)
+            if not points:
+                break
+    finally:
+        rt.close()
+
+
 def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
                            setup: Sequence = (), patterns: Sequence[str] = DEFAULT_PATTERNS,
                            max_crashes: int = 1, seed: int = 0,
@@ -290,26 +384,28 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
     """Yield runs for every crash placement along each base pattern.
 
     The zero-crash run of each pattern is yielded first (plain interleaving
-    exploration).  With ``samples`` set, crash indices are a seeded random
-    subset instead of the full range.  A run that raises is yielded with an
-    empty history and the traceback in ``error``; when the zero-crash run
-    raises, that pattern's crash points are skipped.
+    exploration); it is a ``run_schedule`` call.  With ``samples`` set, crash
+    indices are a seeded random subset instead of the full range.  The crash
+    runs of a pattern branch off one more crash-free run of it (see
+    ``_crash_runs``), so each crash run's ``rt`` and ``obj`` are valid only
+    until the next outcome is requested; its history stays valid.  A run
+    that raises is yielded with an empty history and the traceback in
+    ``error``; when the zero-crash run raises, that pattern's crash points
+    are skipped.
     """
     nprocs = max(workload) + 1 if workload else 1
     rng = random.Random(seed)
     common = dict(setup=setup, seed=seed, step_budget=step_budget,
                   cache=cache, policy=policy)
 
-    def run(schedule, label):
-        try:
-            return run_schedule(adapter, workload, schedule, label=label, **common)
-        except Exception:
-            return RunOutcome([], None, None, schedule, 0, False, label,
-                              error=traceback.format_exc())
-
     for pattern in patterns:
         quanta = pattern_quanta(pattern, nprocs, step_budget * nprocs, seed)
-        probe = run(Schedule(quanta), f"{pattern}/no-crash")
+        label = f"{pattern}/no-crash"
+        try:
+            probe = run_schedule(adapter, workload, Schedule(quanta), label=label,
+                                 **common)
+        except Exception:
+            probe = _errored(Schedule(quanta), label)
         yield probe
         if probe.inconclusive or probe.error:
             continue
@@ -317,13 +413,13 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
         points = range(total)
         if samples is not None and samples < total:
             points = sorted(rng.sample(range(total), samples))
+        crash_sets = {}
         for c in points:
-            crash_sets = [(c,)]
+            crash_sets[c] = [(c,)]
             if max_crashes >= 2:
-                crash_sets.append((c, c + 1 + rng.randrange(max(1, total - c))))
-            for crashes in crash_sets:
-                at = ",".join(map(str, crashes))
-                yield run(Schedule(quanta, crashes), f"{pattern}/crash@{at}")
+                crash_sets[c].append((c, c + 1 + rng.randrange(max(1, total - c))))
+        yield from _crash_runs(adapter, workload, quanta, crash_sets, pattern,
+                               **common)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,17 @@ class EliminationStack:
 
     # -- introspection (tests and harness only) ------------------------------
 
+    def save_private(self) -> tuple:
+        """The simulated state kept outside cells: each process's elimination
+        rng and range (for the harness, which branches runs)."""
+        return [rng.getstate() for rng in self._rng], self._range[:]
+
+    def restore_private(self, saved: tuple) -> None:
+        states, ranges = saved
+        self._range[:] = ranges
+        for rng, state in zip(self._rng, states):
+            rng.setstate(state)
+
     def snapshot(self) -> list:
         """Stack contents, top first, from the cached view."""
         out = []

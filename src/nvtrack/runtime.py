@@ -15,7 +15,9 @@ recovery-data reference ``rd``).  Two backends implement the API:
   each failed process's recovery function.  Every operation and recovery
   runs, and records its history events, through one method, and every crash
   fires through another; both driving modes run a process's operations
-  through one loop.
+  through one loop.  A run can be saved between steps, crashed on fresh
+  process generators, and restored, so one crash-free run can serve as the
+  common prefix of many crash runs.
 
 Volatile-cache simulation keeps two values per cell: ``v`` (the cached value)
 and ``p`` (the persisted one).  A crash reverts unflushed cells to their
@@ -300,7 +302,8 @@ class SimRuntime:
 
     Every operation and recovery runs through :meth:`_run_op`, every
     process's operation sequence through :meth:`_run_ops`, and every crash
-    through :meth:`crash`, in both driving modes:
+    through :meth:`crash` (or :meth:`crash_branch`, which shares its
+    effects), in both driving modes:
 
     * *direct*: operations run synchronously on the calling thread
       (single-process workloads; optional planned crash steps).
@@ -309,6 +312,8 @@ class SimRuntime:
       :meth:`grant_step`, with :meth:`crash` available between steps.  All
       of it runs on the calling thread.  An exception an operation raises
       ends its process and propagates out of the call that resumed it.
+      Between steps a run can also be saved (:meth:`save`), crashed on
+      fresh process generators (:meth:`crash_branch`), and restored.
     """
 
     kind = "sim"
@@ -328,12 +333,17 @@ class SimRuntime:
         self.trace: Optional[list] = [] if trace else None
         self._record = True
         self._ctxs = [ProcessCtx(i) for i in range(nprocs)]
+        # every cell of this runtime's memory
+        self._cells = [c for ctx in self._ctxs for c in (ctx.cp, ctx.rd)]
         self._vcells: list[Cell] = []
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng: Optional[random.Random] = None   # made at its first draw
         self._op_steps = [0] * nprocs
         self._crash_plan: list[int] = []
+        self._workload: list = []      # each process's operations
         self._procs: list = []         # one generator per process
         self._at: list = []            # where each process stopped
+        self._op_index: list = []      # the operation each process is at
         self.live: set = set()         # pids whose process has not finished
         self._granted: Optional[int] = None   # pid let through its gate
         #: optional callable invoked right after crash semantics are applied
@@ -363,6 +373,7 @@ class SimRuntime:
         if durable is None:
             durable = self.cache == "durable"
         cell = Cell(value, durable, owner)
+        self._cells.append(cell)
         if not durable:
             self._vcells.append(cell)
         return cell
@@ -460,9 +471,15 @@ class SimRuntime:
         failed = [pid for pid, at in enumerate(self._at) if at is _GATE]
         for pid in failed:
             self._advance(pid, CrashUnwind())
+        self._crash_effects(failed)
+
+    def _crash_effects(self, failed: list) -> None:
+        """What a crash does once the ``failed`` processes have unwound."""
         self._emit(CrashEvent(self.steps))
         for cell in self._vcells:
             if cell.v is not cell.p and cell.v != cell.p:
+                if self._rng is None:
+                    self._rng = random.Random(self._seed)
                 if self.policy.survives(cell, self._rng):
                     cell.p = cell.v
                 else:
@@ -471,6 +488,64 @@ class SimRuntime:
             self.on_crash()
         for pid in failed:
             self.dispatch_recovery(pid)
+
+    # -- branching off a run ------------------------------------------------
+
+    def save(self) -> tuple:
+        """Everything a run can change from here on, for :meth:`restore`.
+
+        Process mode, between steps.  Values are copied (every cell's
+        ``v``/``p``/``owner``, the step count, the crash rng's state); the
+        process table, history and per-process lists are kept by reference,
+        since :meth:`crash_branch` leaves them untouched."""
+        return (self.steps, None if self._rng is None else self._rng.getstate(),
+                [(c, c.v, c.p, c.owner) for c in self._cells], len(self._cells),
+                len(self._vcells), None if self.trace is None else len(self.trace),
+                self.history, self._op_steps, self._op_index, self._procs,
+                self._at, self.live)
+
+    def restore(self, saved: tuple) -> None:
+        """Put the run back as :meth:`save` found it, so its paused
+        processes can go on; a branch's processes must be closed first."""
+        (self.steps, rng, values, ncells, nvcells, ntrace, self.history,
+         self._op_steps, self._op_index, self._procs, self._at, self.live) = saved
+        if rng is None:
+            self._rng = None
+        else:
+            self._rng.setstate(rng)
+        for cell, v, p, owner in values:
+            cell.v, cell.p, cell.owner = v, p, owner
+        del self._cells[ncells:]
+        del self._vcells[nvcells:]
+        if ntrace is not None:
+            del self.trace[ntrace:]
+        self._granted = None
+
+    def crash_branch(self) -> None:
+        """Crash here as :meth:`crash` would, but on fresh process generators,
+        leaving the paused ones, and every list they hold, as they are.
+
+        A process paused inside operation i restarts in its recovery, one
+        parked before operation i restarts parked there, and a finished one
+        stays finished.  The crash then runs on copies of the history and of
+        the per-process lists, so :meth:`restore` can bring the saved run
+        back."""
+        run_ops = derive.twin(self._run_ops)
+        self.history = self.history[:]
+        self._op_steps = self._op_steps[:]
+        self._op_index = self._op_index[:]
+        self.live = set(self.live)
+        self._procs = procs = self._procs[:]
+        self._at = at = self._at[:]
+        failed = []
+        for pid in sorted(self.live):
+            gate = at[pid] is _GATE
+            if gate:
+                failed.append(pid)
+            procs[pid] = run_ops(pid, self._workload[pid], self._park,
+                                 self._op_index[pid], gate or at[pid] is _RECOVER)
+            self._advance(pid)
+        self._crash_effects(failed)
 
     # -- operations ---------------------------------------------------------
 
@@ -509,16 +584,18 @@ class SimRuntime:
         return resp
 
     def _run_ops(self, pid: int, ops: Sequence[tuple[OpDef, tuple]],
-                 wait: Optional[Callable[[bool], None]] = None) -> bool:
-        """Run ``ops`` in order, recovering a failed operation until it
-        completes.  ``wait``, if given, is called before every attempt with
-        whether that attempt is a recovery.  Returns False once an operation
-        exhausts its step budget."""
-        for opdef, args in ops:
-            recovering = False
+                 wait: Optional[Callable[[int, int, bool], None]] = None,
+                 start: int = 0, recovering: bool = False) -> bool:
+        """Run ``ops`` in order from index ``start`` (first recovering it, if
+        ``recovering``), recovering a failed operation until it completes.
+        ``wait``, if given, is called before every attempt with the pid, the
+        operation's index and whether that attempt is a recovery.  Returns
+        False once an operation exhausts its step budget."""
+        for i in range(start, len(ops)):
+            opdef, args = ops[i]
             while True:
                 if wait is not None:
-                    wait(recovering)
+                    wait(pid, i, recovering)
                 try:
                     self._run_op(pid, opdef, args, recovering)
                     break
@@ -526,6 +603,7 @@ class SimRuntime:
                     recovering = True
                 except StepBudgetExceeded:
                     return False
+            recovering = False
         return True
 
     # -- direct driving -----------------------------------------------------
@@ -560,16 +638,19 @@ class SimRuntime:
         if self._procs:
             raise RuntimeError("workers already started")
         run_ops = derive.twin(self._run_ops)
-        self._procs = [run_ops(pid, workload.get(pid, ()), self._park)
-                       for pid in range(self.nprocs)]
+        self._workload = [workload.get(pid, ()) for pid in range(self.nprocs)]
+        self._procs = [run_ops(pid, ops, self._park)
+                       for pid, ops in enumerate(self._workload)]
         self._at = [_DONE] * self.nprocs
+        self._op_index = [0] * self.nprocs
         self.live = set(range(self.nprocs))
         for pid in range(self.nprocs):
             self._advance(pid)
 
-    def _park(self, recovering: bool):
+    def _park(self, pid: int, i: int, recovering: bool):
         """A process's ``wait``: it parks before every attempt, telling the
         driver whether that attempt is a recovery."""
+        self._op_index[pid] = i
         yield _RECOVER if recovering else _START
 
     def _advance(self, pid: int, exc: Optional[Exception] = None) -> None:

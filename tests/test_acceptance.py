@@ -383,6 +383,28 @@ def test_criterion_7_benchmark_ratios():
             "; ".join(details))
 
 
+def _steps_bench(variant, structure, read_pct):
+    cfg = BenchConfig(structure=structure, variant=variant, threads=1,
+                      total_ops=6_000, read_pct=read_pct, runs=1, timing="steps")
+    return run_benchmark(cfg).mean_mops
+
+
+def test_criterion_7_step_ratios():
+    """Criterion 7's ratios in simulated shared accesses (one thread, steps
+    timing): deterministic, so the gate is tight where wall time is not."""
+    details = []
+    ok = True
+    for read_pct in (30, 70):
+        base = _steps_bench("base", "list", read_pct)
+        rec = _steps_bench("recoverable", "list", read_pct)
+        flush = _steps_bench("recoverable", "list-flush", read_pct)
+        details.append(f"{read_pct}% reads: rec/base={rec / base:.3f} (gate 0.95), "
+                       f"flush/rec={flush / rec:.3f} (gate < 1)")
+        ok &= rec / base >= 0.95 and flush < rec
+    _report("criterion-7 step ratios (1 thread, steps timing)", ok,
+            "; ".join(details))
+
+
 # ---------------------------------------------------------------------------
 # 8. Exchanger pairing over sampled schedules
 # ---------------------------------------------------------------------------

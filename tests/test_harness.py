@@ -13,6 +13,7 @@ from nvtrack.harness import (
     STRUCTURES,
     Schedule,
     detectability_sweep,
+    enumerate_crash_points,
     pattern_quanta,
     run_direct,
     run_schedule,
@@ -20,6 +21,7 @@ from nvtrack.harness import (
 from nvtrack.runtime import (
     Abandoned,
     CrashEvent,
+    CrashPolicy,
     Invoke,
     OpDef,
     RecoverBegin,
@@ -201,15 +203,11 @@ def test_sweep_grants_steps_only_to_processes_that_can_step(monkeypatch, name, p
     class CountingRuntime(SimRuntime):
         def grant_step(self, pid):
             calls[0] += 1
-            return super().grant_step(pid)
-
-    def counted_run_schedule(*args, **kwargs):
-        outcome = run_schedule(*args, **kwargs)
-        granted[0] += outcome.granted
-        return outcome
+            ok = super().grant_step(pid)
+            granted[0] += ok
+            return ok
 
     monkeypatch.setattr(harness, "SimRuntime", CountingRuntime)
-    monkeypatch.setattr(harness, "run_schedule", counted_run_schedule)
     workload, setup, initial = default_workload(name, pids, ops, seed)
     report = detectability_sweep(STRUCTURES[name], workload, setup=setup,
                                  model_initial=initial)
@@ -247,3 +245,76 @@ def test_empty_quanta_and_quanta_of_finished_processes_change_nothing(crashes):
     b = run_schedule(LIST, TWO_INSERTS, Schedule(padded, crashes))
     assert a.history == b.history and a.granted == b.granted
     assert [type(e) for e in a.history].count(CrashEvent) == len(crashes)
+
+
+def _left_state(obj):
+    """What a run left in the structure: its contents, or an exchanger's slot."""
+    if hasattr(obj, "snapshot"):
+        return obj.snapshot()
+    slot = obj.slot.v
+    return slot is obj.default, slot.state.v, slot.value, slot.result.v
+
+
+def _summary(outcome):
+    rt = outcome.rt
+    return (outcome.label, outcome.granted, outcome.inconclusive, outcome.error,
+            outcome.history, rt.steps, len(rt._cells), len(rt._vcells),
+            _left_state(outcome.obj))
+
+
+DROP_POLICIES = (CrashPolicy(), CrashPolicy("drop-random", 0.5))
+BRANCH_CASES = [pytest.param(name, pids, {}, id=f"{name}-{pids}")
+                for name in STRUCTURES for pids in (2, 3)] + [
+    pytest.param("list-flush", pids, dict(cache="volatile", policy=policy),
+                 id=f"list-flush-{pids}-volatile-{policy.mode}")
+    for pids in (2, 3) for policy in DROP_POLICIES]
+
+
+# Every crash point along two patterns, or eight seeded points along each of
+# the five.  The workload seeds are ones whose histories depend on the stack's
+# elimination rng and on list-flush's cell owners, which a branch must restore.
+@pytest.mark.parametrize("seed,points", [(1, dict(patterns=("block", "rand0"))),
+                                         (0, dict(samples=8))],
+                         ids=["full", "sampled"])
+@pytest.mark.parametrize("name,pids,cache", BRANCH_CASES)
+def test_crash_runs_equal_fresh_runs_of_their_schedules(name, pids, cache, seed,
+                                                        points):
+    adapter = STRUCTURES[name]
+    workload, setup, _ = default_workload(name, pids, 2, seed)
+    common = dict(setup=setup, seed=seed, step_budget=300, **cache)
+    crash_runs = 0
+    for outcome in enumerate_crash_points(adapter, workload, max_crashes=2,
+                                          **points, **common):
+        fresh = run_schedule(adapter, workload, outcome.schedule,
+                             label=outcome.label, **common)
+        assert _summary(outcome) == _summary(fresh)
+        crash_runs += bool(outcome.schedule.crashes)
+    assert crash_runs >= 12
+
+
+def test_a_recovery_that_raises_errors_only_its_own_crash_point():
+    quanta = pattern_quanta("rr1", 2, 600)
+    target = 6                    # rr1 fires the crash at 6 after 6 grants
+    [t] = [e.t for e in run_schedule(LIST, TWO_INSERTS, Schedule(quanta, (target,))
+                                     ).history if isinstance(e, CrashEvent)]
+    insert = LIST.ops["insert"]
+
+    def recover(obj, pid, *args):
+        if obj.m.steps == t:
+            raise ValueError("boom")
+        return insert.recover(obj, pid, *args)
+
+    adapter = dataclasses.replace(
+        LIST, ops=dict(LIST.ops, insert=dataclasses.replace(insert, recover=recover)))
+    errored, later = [], 0
+    for outcome in enumerate_crash_points(adapter, TWO_INSERTS, patterns=("rr1",)):
+        if outcome.error:
+            errored.append(outcome.label)
+            assert "ValueError: boom" in outcome.error
+            continue
+        fresh = run_schedule(adapter, TWO_INSERTS, outcome.schedule,
+                             label=outcome.label, step_budget=600)
+        assert _summary(outcome) == _summary(fresh)
+        later += outcome.schedule.crashes > (target,)
+    assert errored == [f"rr1/crash@{target}"]
+    assert later >= 10

@@ -11,6 +11,11 @@ alter histories must recompute ``PINNED_SHA256`` and say why.
 
 A second corpus pins the flush-protocol list under a volatile cache, with
 the same threaded and direct shapes (``PINNED_LIST_FLUSH_SHA256``).
+
+A third pins what ``enumerate_crash_points`` yields (``PINNED_SWEEP_SHA256``):
+seeded single and double crash points along the default patterns for every
+structure at 2 processes, the stack at 3, and list-flush under a volatile
+cache with every crash point, under ``drop-all`` and ``drop-random``.
 """
 
 import dataclasses
@@ -18,9 +23,11 @@ import hashlib
 import random
 
 from nvtrack.cli import default_workload
+from nvtrack.runtime import CrashPolicy
 from nvtrack.harness import (
     DEFAULT_PATTERNS,
     STRUCTURES,
+    enumerate_crash_points,
     Schedule,
     pattern_quanta,
     run_direct,
@@ -29,6 +36,7 @@ from nvtrack.harness import (
 
 PINNED_SHA256 = "53980c3d02b8732f5620e3dcfa26ae9542699bb9cf95edcfc9eab769964a6ff0"
 PINNED_LIST_FLUSH_SHA256 = "9c15ae838cc43beb536403feb7cd3614d4e1e4c3a8fa507c674ada0a93ed6856"
+PINNED_SWEEP_SHA256 = "cee63eacdd8ce809022af2a94b35966d58bf858f0a4daee4f8b41ccb53291b1b"
 
 THREADED = ("list", "bst", "stack", "exchanger", "exchanger-timed")
 CRASH_POINTS = 12              # seeded crash points per pattern
@@ -89,10 +97,27 @@ def _corpus(threaded=THREADED, direct_scans=DIRECT_SCANS, cache="durable"):
                                  cache=cache, crash_steps=(c1, c2))
 
 
-def corpus_digest(**corpus_kwargs) -> tuple:
+def _sweep_corpus():
+    """(structure, pids, enumerate_crash_points keyword arguments) per sweep."""
+    for name in STRUCTURES:
+        yield name, 2, dict(samples=CRASH_POINTS)
+    yield "stack", 3, dict(samples=CRASH_POINTS // 2)
+    for policy in (CrashPolicy(), CrashPolicy("drop-random", 0.5)):
+        yield "list-flush", 2, dict(cache="volatile", policy=policy)
+
+
+def _sweeps():
+    for name, pids, kwargs in _sweep_corpus():
+        workload, setup, _ = default_workload(name, pids, 2, 1)
+        yield from enumerate_crash_points(STRUCTURES[name], workload, setup=setup,
+                                          max_crashes=2, seed=1,
+                                          step_budget=STEP_BUDGET, **kwargs)
+
+
+def corpus_digest(corpus=None, **corpus_kwargs) -> tuple:
     h = hashlib.sha256()
     runs = 0
-    for outcome in _corpus(**corpus_kwargs):
+    for outcome in corpus if corpus is not None else _corpus(**corpus_kwargs):
         h.update(_serialise(outcome))
         runs += 1
     return h.hexdigest(), runs
@@ -110,3 +135,9 @@ def test_pinned_list_flush_histories_are_unchanged():
         direct_scans={"list-flush": DIRECT_SCANS["list"]}, cache="volatile")
     assert runs > 200
     assert digest == PINNED_LIST_FLUSH_SHA256
+
+
+def test_pinned_sweep_outcomes_are_unchanged():
+    digest, runs = corpus_digest(_sweeps())
+    assert runs > 1000
+    assert digest == PINNED_SWEEP_SHA256
