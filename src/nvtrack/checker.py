@@ -9,6 +9,22 @@ counterexample and OK is a real witness order.  Histories above the size cap
 are either decomposed per key (set models) or reported UNCHECKED -- never
 silently passed.
 
+Sweeps produce the same operation-level history many times over: crash runs
+that differ only in where the crash fell often fold into the same operation
+records.  ``check_nrl`` therefore keeps a bounded memo of OK verdicts, keyed
+on the model's type and initial state, the size cap and the history's *op
+shape* (:func:`op_shape`): its invocations ``(pid, op, args)``, responses
+``(pid, type(value), value)`` and abandonments ``(pid,)`` in order, without
+crashes, recovery starts or times.  The memo is exact: ``extract_ops`` reads
+nothing else from a history but event positions, and the search reads those
+only through the order of responses and invocations (``b.res < a.inv``),
+which the shape keeps; the type tag keeps ``True`` and ``1`` apart, which
+``StackModel`` tells apart with ``is``.  Only the built-in models, whose
+behaviour is fixed by their type and ``initial``, are memoized, and only
+their OK verdicts: a VIOLATION or UNCHECKED verdict is always computed from
+the full history, so its witness names real event indices.  A history with
+an unhashable value is checked without the memo.
+
 ``check_strict_recoverability`` inspects the persisted-result snapshot the
 runtime records with every response: a completed update must have its
 response durably stored in the record reachable from ``rd`` by the time it
@@ -189,6 +205,23 @@ def extract_ops(history: Sequence) -> list[OpRecord]:
     return ops
 
 
+def op_shape(history: Sequence) -> tuple:
+    """The history's operation-level shape: one entry per invocation
+    ``(pid, op, args)``, response ``(pid, type(value), value)`` and
+    abandonment ``(pid,)``, in order, classified as :func:`extract_ops`
+    classifies them.  Histories with equal shapes fold into the same
+    operation records, up to event indices and the ``recovered`` tag."""
+    shape = []
+    for ev in history:
+        if isinstance(ev, Invoke):
+            shape.append((ev.pid, ev.op, ev.args))
+        elif isinstance(ev, (Response, RecoverResponse)):
+            shape.append((ev.pid, type(ev.value), ev.value))
+        elif isinstance(ev, Abandoned):
+            shape.append((ev.pid,))
+    return tuple(shape)
+
+
 # ---------------------------------------------------------------------------
 # Linearizability search
 # ---------------------------------------------------------------------------
@@ -239,9 +272,35 @@ def _linearizable(ops: list[OpRecord], model) -> bool:
     return False
 
 
+#: most OK verdicts ``check_nrl`` keeps; the memo is emptied when it is full
+OK_MEMO_SIZE = 1024
+_ok_memo: dict = {}      # (model type, initial, cap, op shape) -> inconclusive
+_MEMO_MODELS = (SetModel, StackModel, ExchangeModel)
+
+
 def check_nrl(history: Sequence, model, *, cap: int = 24) -> Verdict:
-    """Crash-extended linearizability verdict for a complete history."""
-    ops = extract_ops(history)
+    """Crash-extended linearizability verdict for a complete history.
+
+    OK verdicts of the built-in models are memoized by op shape (see the
+    module docstring); every call returns a fresh ``Verdict``."""
+    key = None
+    if type(model) in _MEMO_MODELS:
+        key = (type(model), model.initial, cap, op_shape(history))
+        try:
+            inconclusive = _ok_memo.get(key)
+        except TypeError:                  # an unhashable value: no memo
+            key = inconclusive = None
+        if inconclusive is not None:
+            return Verdict("OK", inconclusive=inconclusive)
+    verdict = _check(extract_ops(history), model, cap)
+    if key is not None and verdict.ok:
+        if len(_ok_memo) >= OK_MEMO_SIZE:
+            _ok_memo.clear()
+        _ok_memo[key] = verdict.inconclusive
+    return verdict
+
+
+def _check(ops: list[OpRecord], model, cap: int) -> Verdict:
     inconclusive = any(o.abandoned for o in ops)
     if len(ops) > cap:
         if isinstance(model, SetModel):

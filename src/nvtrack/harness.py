@@ -32,6 +32,7 @@ instead of aborting the sweep.
 
 from __future__ import annotations
 
+import functools
 import random
 import traceback
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ from .checker import (
     StackModel,
     check_nrl,
     check_strict_recoverability,
+    op_shape,
 )
 from .runtime import OpDef, SimRuntime, UNSET
 
@@ -163,9 +165,12 @@ class Schedule:
     crashes: tuple = ()
 
 
+@functools.lru_cache(maxsize=32)
 def pattern_quanta(pattern: str, pids: int, length: int, seed: int = 0) -> tuple:
     """Named base interleavings: rr<k> (round robin, quantum k), block
-    (each pid runs to completion in order), rand (seeded shuffle)."""
+    (each pid runs to completion in order), rand (seeded shuffle).  Cached:
+    the result is immutable, and a seeded ``rand`` pattern takes a few
+    milliseconds to draw."""
     if pattern.startswith("rr"):
         q = int(pattern[2:] or 1)
         reps = length // (q * pids) + 2
@@ -429,6 +434,8 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
 @dataclass
 class SweepReport:
     total: int = 0
+    #: distinct op-level histories (``checker.op_shape``) among the checked runs
+    distinct: int = 0
     ok: int = 0
     inconclusive: int = 0
     violations: list = field(default_factory=list)
@@ -439,7 +446,8 @@ class SweepReport:
         return not self.violations and not self.strict_violations
 
     def summary(self) -> str:
-        return (f"{self.total} runs: {self.ok} ok, "
+        return (f"{self.total} runs ({self.distinct} distinct op-level "
+                f"histories): {self.ok} ok, "
                 f"{self.inconclusive} inconclusive, "
                 f"{len(self.violations)} linearizability violations, "
                 f"{len(self.strict_violations)} strict-recoverability violations")
@@ -452,12 +460,19 @@ def detectability_sweep(adapter: StructureAdapter, workload: dict, *,
     """Enumerate crash placements and check every history; a run that
     raised is counted as a violation labelled ``[errored]``."""
     report = SweepReport()
+    shapes, unhashable = set(), []
     for outcome in enumerate_crash_points(adapter, workload, setup=setup,
                                           **enum_kwargs):
         report.total += 1
         if outcome.error:
             report.violations.append((outcome.label + " [errored]", outcome.error))
             continue
+        shape = op_shape(outcome.history)
+        try:
+            shapes.add(shape)
+        except TypeError:                  # a response that cannot be hashed
+            if shape not in unhashable:
+                unhashable.append(shape)
         model = adapter.model(model_initial) if model_initial is not None \
             else adapter.model()
         verdict = check_nrl(outcome.history, model)
@@ -475,6 +490,7 @@ def detectability_sweep(adapter: StructureAdapter, workload: dict, *,
             extra = check_responses(outcome)
             if extra:
                 report.violations.append((outcome.label, extra))
+    report.distinct = len(shapes) + len(unhashable)
     return report
 
 

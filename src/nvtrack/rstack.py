@@ -44,6 +44,20 @@ class CentralInfo(InfoRecord):
         self.result = m.new_cell(result, owner=p)
 
 
+class _DrawLog(list):
+    """Each process's elimination rng, noting every pid whose rng is fetched
+    (the stack fetches one only to draw from it) in ``drawn``, so a saved
+    copy of an rng's state is refreshed only once that rng has moved on."""
+
+    def __init__(self, rngs):
+        super().__init__(rngs)
+        self.drawn = set(range(len(rngs)))     # no state copied yet
+
+    def __getitem__(self, p):
+        self.drawn.add(p)
+        return super().__getitem__(p)
+
+
 class EliminationStack:
     """LIFO stack of word-sized payloads (NULL/EMPTY/UNSET are reserved)."""
 
@@ -55,7 +69,8 @@ class EliminationStack:
         self.top = m.new_cell(None)
         self.default = ExchangeInfo(m, None, EX_EMPTY, UNSET)
         self.exchangers = [TimedExchanger(m, self.default) for _ in range(slots)]
-        self._rng = [random.Random(f"{seed}:{pid}") for pid in range(m.nprocs)]
+        self._rng = _DrawLog([random.Random(f"{seed}:{pid}") for pid in range(m.nprocs)])
+        self._held = [None] * m.nprocs     # each rng's state as last saved
         # elimination range: shrinks on a collision, grows on a timeout (any
         # rule keeping 1 <= range <= slots conforms)
         self._range = [1] * m.nprocs
@@ -193,14 +208,26 @@ class EliminationStack:
 
     def save_private(self) -> tuple:
         """The simulated state kept outside cells: each process's elimination
-        rng and range (for the harness, which branches runs)."""
-        return [rng.getstate() for rng in self._rng], self._range[:]
+        rng and range (for the harness, which branches runs).  An rng's state
+        is copied only if it was drawn since the copy already held."""
+        rngs, held = self._rng, self._held
+        for p, rng in enumerate(rngs):
+            if p in rngs.drawn:
+                held[p] = rng.getstate()
+        rngs.drawn.clear()
+        return tuple(held), self._range[:]
 
     def restore_private(self, saved: tuple) -> None:
+        """Undo every change since ``saved``; an rng's state is set only if
+        it was drawn since, or differs from ``saved``'s."""
         states, ranges = saved
         self._range[:] = ranges
-        for rng, state in zip(self._rng, states):
-            rng.setstate(state)
+        rngs, held = self._rng, self._held
+        for p, rng in enumerate(rngs):
+            if p in rngs.drawn or held[p] is not states[p]:
+                rng.setstate(states[p])
+                held[p] = states[p]
+        rngs.drawn.clear()
 
     def snapshot(self) -> list:
         """Stack contents, top first, from the cached view."""

@@ -336,6 +336,7 @@ class SimRuntime:
         # every cell of this runtime's memory
         self._cells = [c for ctx in self._ctxs for c in (ctx.cp, ctx.rd)]
         self._vcells: list[Cell] = []
+        self._durable = cache == "durable"     # a new cell's default
         self._seed = seed
         self._rng: Optional[random.Random] = None   # made at its first draw
         self._op_steps = [0] * nprocs
@@ -371,7 +372,7 @@ class SimRuntime:
     def new_cell(self, value: Any, *, durable: Optional[bool] = None,
                  owner: Optional[int] = None) -> Cell:
         if durable is None:
-            durable = self.cache == "durable"
+            durable = self._durable
         cell = Cell(value, durable, owner)
         self._cells.append(cell)
         if not durable:
@@ -564,10 +565,10 @@ class SimRuntime:
         and record its events.  CrashUnwind propagates unrecorded;
         StepBudgetExceeded is recorded as ``Abandoned`` and re-raised."""
         self._op_steps[pid] = 0
-        if recovering:
-            self._emit(RecoverBegin(self.steps, pid, opdef.name))
-        else:
-            self._emit(Invoke(self.steps, pid, opdef.name, args))
+        if self._record:
+            self.history.append(RecoverBegin(self.steps, pid, opdef.name) if recovering
+                                else Invoke(self.steps, pid, opdef.name, args))
+        if not recovering:
             self.invoke_reset(pid)
         try:
             resp = (opdef.recover if recovering else opdef.call)(self.obj, pid, *args)

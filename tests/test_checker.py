@@ -2,6 +2,7 @@
 
 import pytest
 
+from nvtrack import checker
 from nvtrack.checker import (
     ExchangeModel,
     SetModel,
@@ -10,9 +11,11 @@ from nvtrack.checker import (
     check_strict_recoverability,
     extract_ops,
 )
-from nvtrack.harness import STRUCTURES, run_direct
+from nvtrack.cli import default_workload
+from nvtrack.harness import STRUCTURES, enumerate_crash_points, run_direct
 from nvtrack.rlist import RecoverableList
 from nvtrack.runtime import (
+    Abandoned,
     CrashEvent,
     EMPTY,
     Invoke,
@@ -260,3 +263,113 @@ def test_sweep_catches_seeded_arbitration_bug():
         setup=(("insert", (5,)),), model_initial={5}, seed=1, step_budget=400)
     assert len(rep.violations) > 0          # double-true deletes get flagged
     assert "delete" in rep.violations[0][1]
+
+
+# ---------------------------------------------------------------------------
+# The memo of OK verdicts
+# ---------------------------------------------------------------------------
+
+def _verdict(v):
+    return v.status, v.inconclusive, v.detail
+
+
+def test_memo_tells_a_true_response_from_a_one():
+    def pushed(resp):
+        return H(Invoke(0, 0, "push", (4,)), Response(1, 0, "push", resp))
+
+    assert check_nrl(pushed(True), StackModel()).ok
+    assert check_nrl(pushed(1), StackModel()).status == "VIOLATION"
+    assert check_nrl(pushed(True), StackModel()).ok
+
+
+def test_violations_are_checked_afresh_from_each_history():
+    lost = H(
+        Invoke(0, 0, "insert", (5,)), Response(1, 0, "insert", True),
+        Invoke(3, 0, "find", (5,)), Response(4, 0, "find", False),
+    )
+    crashed = lost[:2] + [CrashEvent(2)] + lost[2:]
+    assert "[2..3]" in check_nrl(lost, SetModel()).detail
+    assert "[3..4]" in check_nrl(crashed, SetModel()).detail
+
+
+def test_memo_tells_an_abandoned_op_from_a_pending_one():
+    pending = H(Invoke(0, 0, "exchange", (10,)))
+    abandoned = pending + [Abandoned(48, 0, "exchange")]
+    assert _verdict(check_nrl(pending, ExchangeModel())) == ("OK", False, "")
+    assert _verdict(check_nrl(abandoned, ExchangeModel())) == ("OK", True, "")
+
+
+def _pinned_runs():
+    """(history, model) for every run of the three pinned history corpora."""
+    import test_history_pin as pin
+
+    def model(name, initial):
+        adapter = STRUCTURES[name]
+        return adapter.model() if initial is None else adapter.model(initial)
+
+    for name in pin.THREADED:
+        initial = default_workload(name, 2, 2, 1)[2]
+        for out in pin._corpus(threaded=(name,), direct_scans={}):
+            yield out.history, model(name, initial)
+    for name, scans in pin.DIRECT_SCANS.items():
+        for out in pin._corpus(threaded=(), direct_scans={name: scans}):
+            yield out.history, model(name, {5})
+    for out in pin._corpus(threaded=("list-flush",), cache="volatile",
+                           direct_scans={"list-flush": pin.DIRECT_SCANS["list"]}):
+        yield out.history, model("list-flush", {5})
+    for name, pids, kwargs in pin._sweep_corpus():
+        workload, setup, initial = default_workload(name, pids, 2, 1)
+        for out in enumerate_crash_points(STRUCTURES[name], workload, setup=setup,
+                                          max_crashes=2, seed=1,
+                                          step_budget=pin.STEP_BUDGET, **kwargs):
+            yield out.history, model(name, initial)
+
+
+def test_memo_hits_equal_fresh_checks_over_the_pinned_corpora(monkeypatch):
+    runs = list(_pinned_runs())
+    cold = []
+    for history, model in runs:
+        checker._ok_memo.clear()
+        cold.append(_verdict(check_nrl(history, model)))
+    fresh = []
+    check = checker._check
+    monkeypatch.setattr(checker, "_check",
+                        lambda *args: fresh.append(1) or check(*args))
+    checker._ok_memo.clear()
+    warm = [_verdict(check_nrl(history, model)) for history, model in runs]
+    assert warm == cold
+    assert len(fresh) < len(runs) / 2          # most checks were memo hits
+
+
+class _NoHash:
+    """A response equal to True that cannot be hashed."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return other is True
+
+
+def test_unhashable_responses_are_still_checked():
+    def inserted(resp):
+        return H(Invoke(0, 0, "insert", (5,)), Response(1, 0, "insert", resp))
+
+    checker._ok_memo.clear()
+    for _ in range(2):
+        assert check_nrl(inserted(_NoHash()), SetModel()).ok
+        assert check_nrl(inserted([True]), SetModel()).status == "VIOLATION"
+    assert not checker._ok_memo
+
+
+def test_a_mutated_verdict_does_not_change_the_next_one():
+    h = H(Invoke(0, 0, "insert", (5,)), Response(1, 0, "insert", True))
+    first = check_nrl(h, SetModel())
+    first.status, first.detail, first.inconclusive = "VIOLATION", "edited", True
+    assert _verdict(check_nrl(h, SetModel())) == ("OK", False, "")
+
+
+def test_memo_stays_within_its_bound():
+    for k in range(checker.OK_MEMO_SIZE + 50):
+        h = H(Invoke(0, 0, "insert", (k,)), Response(1, 0, "insert", True))
+        assert check_nrl(h, SetModel()).ok
+        assert 0 < len(checker._ok_memo) <= checker.OK_MEMO_SIZE

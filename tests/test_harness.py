@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from nvtrack import harness
+from nvtrack.checker import op_shape
 from nvtrack.cli import default_workload
 from nvtrack.harness import (
     DEFAULT_PATTERNS,
@@ -318,3 +319,31 @@ def test_a_recovery_that_raises_errors_only_its_own_crash_point():
         later += outcome.schedule.crashes > (target,)
     assert errored == [f"rr1/crash@{target}"]
     assert later >= 10
+
+
+def test_sweep_counts_distinct_op_level_histories():
+    adapter = STRUCTURES["stack"]
+    workload, setup, initial = default_workload("stack", 2, 2, 1)
+    common = dict(setup=setup, max_crashes=2, seed=1, step_budget=300)
+    rep = detectability_sweep(adapter, workload, model_initial=initial, **common)
+    shapes = {op_shape(out.history)
+              for out in enumerate_crash_points(adapter, workload, **common)}
+    assert 1 < rep.distinct == len(shapes) < rep.total
+    assert f"({rep.distinct} distinct op-level histories)" in rep.summary()
+
+
+def _listed_insert(obj, pid, key):
+    return [obj.insert(pid, key)]
+
+
+def _listed_insert_recover(obj, pid, key):
+    return [obj.insert_recover(pid, key)]
+
+
+def test_sweep_counts_histories_whose_responses_cannot_be_hashed():
+    adapter = dataclasses.replace(LIST, ops={"insert": OpDef(
+        "insert", _listed_insert, _listed_insert_recover)})
+    rep = detectability_sweep(adapter, {0: [("insert", (5,))], 1: [("insert", (7,))]},
+                              patterns=("rr1", "block"))
+    assert len(rep.violations) == rep.total     # [True] is not a set response
+    assert 1 < rep.distinct < rep.total
