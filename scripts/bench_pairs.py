@@ -7,11 +7,14 @@ commit and the change, each made with ``git clone`` or ``git archive``) for
 the side that runs first alternates from pair to pair, so slow drift of the
 machine hits both sides alike.  For each side and metric it writes the run
 values, median, quartiles and IQR, and for each metric the ratio of medians
-(new / base) and the number of pairs the new side won, in the direction
-``BENCHMARK.json`` gives.  With ``--trace-seconds`` it adds one ``--trace 1``
-run per side and workload and records every per-layer metric it prints.
+(new / base), the number of pairs the new side won, in the direction
+``BENCHMARK.json`` gives, the metric's ``bound`` there, and ``worse_by``: how
+far the new median is worse than the base's, as a fraction of the base's (0
+if it is not worse), to be read against ``bound``.  With ``--trace-seconds``
+it adds one ``--trace 1`` run per side and workload and records every
+per-layer metric it prints.
 
-    python3 scripts/bench_pairs.py ../base . --pairs 4 --seconds 50 \\
+    python3 scripts/bench_pairs.py ../base . --pairs 10 --seconds 50 \\
         --seed 11 --trace-seconds 10 --out BENCH.json
 """
 
@@ -56,9 +59,12 @@ def summarise(runs: list) -> dict:
                                       if n in r["metrics"]]) for n in names}}
 
 
-def compare(base: list, new: list, better: dict) -> dict:
+def compare(base: list, new: list, spec: list) -> dict:
+    """Per end-to-end metric of ``spec`` (``BENCHMARK.json``'s list): how the
+    new side's runs compare with the base side's, pair by pair."""
     out = {}
-    for name, way in better.items():
+    for metric in spec:
+        name, way = metric["name"], metric["better"]
         pairs = [(b["metrics"][name], n["metrics"][name]) for b, n in zip(base, new)
                  if name in b["metrics"] and name in n["metrics"]]
         if not pairs:
@@ -66,8 +72,11 @@ def compare(base: list, new: list, better: dict) -> dict:
         wins = sum((n > b) if way == "higher" else (n < b) for b, n in pairs)
         b_med = statistics.median(b for b, _ in pairs)
         n_med = statistics.median(n for _, n in pairs)
+        worse = (b_med - n_med) if way == "higher" else (n_med - b_med)
         out[name] = {"better": way, "ratio": n_med / b_med if b_med else None,
-                     "new_wins": wins, "pairs": len(pairs)}
+                     "new_wins": wins, "pairs": len(pairs),
+                     "bound": metric.get("bound"),
+                     "worse_by": max(0.0, worse / abs(b_med)) if b_med else None}
     return out
 
 
@@ -77,7 +86,7 @@ def main() -> int:
     ap.add_argument("new", help="checkout directory of the new side")
     ap.add_argument("--workloads", nargs="+", default=None,
                     help="default: every workload in the new side's BENCHMARK.json")
-    ap.add_argument("--pairs", type=int, default=4)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=50)
     ap.add_argument("--seed", type=int, default=11,
                     help="seed of the first pair; pair i uses seed + i")
@@ -89,7 +98,6 @@ def main() -> int:
 
     with open(os.path.join(args.new, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"base": args.base, "new": args.new}
     report = {"command": spec["command"], "pairs": args.pairs,
               "seconds": args.seconds, "workloads": {}}
@@ -106,7 +114,7 @@ def main() -> int:
                       file=sys.stderr, flush=True)
         entry = {"seeds": seeds,
                  "base": summarise(runs["base"]), "new": summarise(runs["new"]),
-                 "compare": compare(runs["base"], runs["new"], better)}
+                 "compare": compare(runs["base"], runs["new"], spec["end_to_end"])}
         if args.trace_seconds:
             entry["trace"] = {side: run(path, workload, args.trace_seed,
                                         args.trace_seconds, 1)

@@ -30,18 +30,30 @@ def _bench_parser(sub) -> None:
     p.add_argument("--output", default=None, help="write CSV here instead of stdout")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    parse.__name__ = "int"             # argparse names the type on a bad int
+    return parse
+
+
 def _verify_parser(sub) -> None:
     p = sub.add_parser("verify", help="enumerate crash points and check histories")
     p.add_argument("--structure", default="list",
                    choices=sorted(harness.STRUCTURES))
-    p.add_argument("--pids", type=int, default=2)
-    p.add_argument("--ops-per-pid", type=int, default=2)
-    p.add_argument("--max-crashes", type=int, default=1)
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--pids", type=_int_at_least(1), default=2)
+    p.add_argument("--ops-per-pid", type=_int_at_least(1), default=2)
+    p.add_argument("--max-crashes", type=int, default=1, choices=(1, 2),
+                   help="crashes per run")
+    p.add_argument("--samples", type=_int_at_least(0), default=None,
                    help="sample this many crash points per pattern "
                         "(default: every crash point)")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--budget", type=int, default=600,
+    p.add_argument("--budget", type=_int_at_least(1), default=600,
                    help="per-operation step budget")
     p.add_argument("--verbose", action="store_true")
 

@@ -1,10 +1,11 @@
 """Deterministic crash-injection harness over the simulated backend.
 
 A :class:`Schedule` fixes an interleaving as (pid, step-count) quanta and the
-global step indices at which whole-system crashes fire.  A crash starts the
-failed processes' recoveries itself (see ``SimRuntime.crash``), and their
-steps are granted like any others.  :func:`run_schedule` executes exactly
-that plan on the calling thread, where each process is a generator that
+global step indices at which whole-system crashes fire.  A crash restarts
+every unfinished process on a fresh generator, in recovery if it was inside
+an operation (see ``SimRuntime.crash``), and the recoveries' steps are
+granted like any others.  :func:`run_schedule` executes exactly that plan
+on the calling thread, where each process is a generator that
 ``SimRuntime`` resumes one step at a time.  A grant goes only to a process
 that has not finished (one still in ``SimRuntime.live``): the rest of a
 finished process's quantum is skipped, which changes no history, since such
@@ -18,16 +19,16 @@ it can be resumed from any crash point.
 interleaving pattern it probes the crash-free run length, then runs the
 pattern with a crash at every step index (or a seeded sample of them).
 Those crash runs share their crash-free prefix: one more crash-free run
-stops at each crash point, saves the runtime, crashes it on fresh process
-generators, runs that branch to its end and yields it, then restores the
-runtime and goes on.  Each branch's outcome equals that of a fresh
-:func:`run_schedule` on its schedule, but its ``rt`` and ``obj`` are valid
-only until the next outcome is requested.  Starting a recovery takes no
-step, so the order in which recoveries start is unobservable and is not
-enumerated.  :func:`detectability_sweep` bundles that with the
-crash-extended linearizability and strict-recoverability checks; a run
-whose operation or recovery raises is reported as an errored violation
-instead of aborting the sweep.
+stops at each crash point and saves the runtime, and each crash run is an
+ordinary run resumed there, whose first crash fires like any later one;
+once it has been yielded, the runtime is restored.  Each crash run's
+outcome equals that of a fresh :func:`run_schedule` on its schedule, but
+its ``rt`` and ``obj`` are valid only until the next outcome is requested.
+Starting a recovery takes no step, so the order in which recoveries start
+is unobservable and is not enumerated.  :func:`detectability_sweep`
+bundles that with the crash-extended linearizability and
+strict-recoverability checks; a run whose operation or recovery raises is
+reported as an errored violation instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ class StructureAdapter:
     ops: dict
     model: Callable[..., Any]
     strict_exempt: tuple = ("find", "contains")
-    #: save and restore simulated state the structure keeps outside cells
-    save_private: Optional[Callable[[Any], Any]] = None
-    restore_private: Optional[Callable[[Any, Any], None]] = None
 
 
 def _timed_exchange_call(obj, pid, value):
@@ -134,9 +132,7 @@ STRUCTURES = {
     "stack": StructureAdapter(
         "stack",
         lambda rt: rstack.EliminationStack(rt, slots=4, exchange_wait=24),
-        STACK_OPS, StackModel, strict_exempt=(),
-        save_private=rstack.EliminationStack.save_private,
-        restore_private=rstack.EliminationStack.restore_private),
+        STACK_OPS, StackModel, strict_exempt=()),
     "bst": StructureAdapter(
         "bst", lambda rt: rbst.RecoverableBst(rt), BST_OPS, SetModel),
     "exchanger": StructureAdapter(
@@ -241,6 +237,7 @@ def _drive(rt: SimRuntime, quanta: tuple, crashes: list, at: tuple = (0, 0, 0, 0
         for j in range(j, count):
             if crashes and crashes[0] <= granted:
                 yield qi, j, granted, spins
+                live = rt.live            # a crash replaces it
             if pid not in live:
                 break
             if rt.grant_step(pid):
@@ -253,6 +250,7 @@ def _drive(rt: SimRuntime, quanta: tuple, crashes: list, at: tuple = (0, 0, 0, 0
     while live and spins < cap:
         if crashes and crashes[0] <= granted:
             yield len(quanta), 0, granted, spins
+            live = rt.live
         progressed = False
         for pid in sorted(live):
             if rt.grant_step(pid):
@@ -264,17 +262,25 @@ def _drive(rt: SimRuntime, quanta: tuple, crashes: list, at: tuple = (0, 0, 0, 0
     return granted
 
 
-def _finish(rt: SimRuntime, drive, crashes: list) -> tuple:
-    """Run ``drive`` to its end, firing each of ``crashes`` once it is due;
-    return the steps granted and whether the run was inconclusive."""
-    while True:
-        try:
-            granted = next(drive)[2]
-        except StopIteration as stop:
-            return stop.value, rt.inconclusive() or bool(rt.live)
-        while crashes and crashes[0] <= granted:
-            crashes.pop(0)
-            rt.crash()
+def _run(rt: SimRuntime, obj: Any, schedule: Schedule, label: str,
+         at: tuple = (0, 0, 0, 0)) -> RunOutcome:
+    """Run ``schedule`` on ``rt``'s started processes from ``_drive``
+    position ``at`` to its end, firing each crash once it is due, then close
+    every process.  An exception the run raises propagates after that."""
+    crashes = list(schedule.crashes)
+    drive = _drive(rt, schedule.quanta, crashes, at)
+    try:
+        while True:
+            try:
+                granted = next(drive)[2]
+            except StopIteration as stop:
+                return RunOutcome(rt.history, rt, obj, schedule, stop.value,
+                                  rt.inconclusive() or bool(rt.live), label)
+            while crashes and crashes[0] <= granted:
+                crashes.pop(0)
+                rt.crash()
+    finally:
+        rt.close()
 
 
 def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
@@ -294,13 +300,7 @@ def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
     this call once every process has been closed."""
     rt, obj = _started_runtime(adapter, workload, setup, cache=cache, policy=policy,
                                seed=seed, step_budget=step_budget, trace=trace)
-    crashes = list(schedule.crashes)
-    try:
-        granted, inconclusive = _finish(rt, _drive(rt, schedule.quanta, crashes),
-                                        crashes)
-    finally:
-        rt.close()
-    return RunOutcome(rt.history, rt, obj, schedule, granted, inconclusive, label)
+    return _run(rt, obj, schedule, label)
 
 
 def run_direct(adapter: StructureAdapter, ops: Sequence, *, setup: Sequence = (),
@@ -332,31 +332,15 @@ def _errored(schedule: Schedule, label: str) -> RunOutcome:
                       error=traceback.format_exc())
 
 
-def _branch(rt: SimRuntime, obj: Any, quanta: tuple, at: tuple, crashes: tuple,
-            label: str) -> RunOutcome:
-    """The run of ``Schedule(quanta, crashes)``, taken from a crash-free run
-    paused at position ``at``, where its first crash is due: it crashes on
-    fresh processes there and runs to its end.  Its processes are closed."""
-    schedule = Schedule(quanta, crashes)
-    rest = list(crashes[1:])
-    try:
-        rt.crash_branch()
-        granted, inconclusive = _finish(rt, _drive(rt, quanta, rest, at), rest)
-    except Exception:
-        return _errored(schedule, label)
-    finally:
-        rt.close()
-    return RunOutcome(rt.history, rt, obj, schedule, granted, inconclusive, label)
-
-
 def _crash_runs(adapter: StructureAdapter, workload: dict, quanta: tuple,
                 crash_sets: dict, pattern: str, *, setup: Sequence,
                 **rt_kwargs) -> Iterator[RunOutcome]:
     """One run per crash set in ``crash_sets`` (first crash -> its crash sets,
     in order of first crash), each a branch off one crash-free run of
-    ``quanta`` where that run would fire its first crash.  The crash-free
-    run is saved there and restored after each branch has been yielded, so
-    each outcome equals that of ``run_schedule`` on its schedule."""
+    ``quanta`` where that run would fire its first crash: the crash-free
+    run is saved there, the branch resumes its driver loop at that position,
+    and the run is restored after each branch has been yielded.  So each
+    outcome equals that of ``run_schedule`` on its schedule."""
     if not crash_sets:
         return
     points = list(crash_sets)
@@ -364,16 +348,18 @@ def _crash_runs(adapter: StructureAdapter, workload: dict, quanta: tuple,
     try:
         for at in _drive(rt, quanta, points):
             saved = rt.save()
-            private = adapter.save_private(obj) if adapter.save_private else None
             while points and points[0] <= at[2]:
                 for crashes in crash_sets[points.pop(0)]:
+                    schedule = Schedule(quanta, crashes)
                     label = f"{pattern}/crash@{','.join(map(str, crashes))}"
                     try:
-                        yield _branch(rt, obj, quanta, at, crashes, label)
+                        outcome = _run(rt, obj, schedule, label, at)
+                    except Exception:
+                        outcome = _errored(schedule, label)
+                    try:
+                        yield outcome
                     finally:
                         rt.restore(saved)
-                        if adapter.restore_private:
-                            adapter.restore_private(obj, private)
             if not points:
                 break
     finally:
@@ -389,7 +375,9 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
     """Yield runs for every crash placement along each base pattern.
 
     The zero-crash run of each pattern is yielded first (plain interleaving
-    exploration); it is a ``run_schedule`` call.  With ``samples`` set, crash
+    exploration); it is a ``run_schedule`` call.  ``max_crashes`` is 1 or 2:
+    each crash index gets a run crashing there, and with 2 also a run adding
+    a second crash at a seeded later index.  With ``samples`` set, crash
     indices are a seeded random subset instead of the full range.  The crash
     runs of a pattern branch off one more crash-free run of it (see
     ``_crash_runs``), so each crash run's ``rt`` and ``obj`` are valid only

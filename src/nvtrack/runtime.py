@@ -11,13 +11,14 @@ recovery-data reference ``rd``).  Two backends implement the API:
   shared-cell access is a scheduling point.  Each logical process is a
   generator (see ``derive``) run on the caller's thread; a deterministic
   driver (see ``harness``) interleaves them step by step and injects
-  whole-system crashes; a crash fails every in-flight operation and starts
-  each failed process's recovery function.  Every operation and recovery
-  runs, and records its history events, through one method, and every crash
-  fires through another; both driving modes run a process's operations
-  through one loop.  A run can be saved between steps, crashed on fresh
-  process generators, and restored, so one crash-free run can serve as the
-  common prefix of many crash runs.
+  whole-system crashes.  A crash wipes every process's local state: each
+  unfinished process restarts on a fresh generator, in its failed
+  operation's recovery function if it had one in flight.  Every operation
+  and recovery runs, and records its history events, through one method,
+  and every crash fires through another; both driving modes run a process's
+  operations through one loop.  A run can be saved between steps, crashed
+  and restored, so one crash-free run can serve as the common prefix of many
+  crash runs.
 
 Volatile-cache simulation keeps two values per cell: ``v`` (the cached value)
 and ``p`` (the persisted one).  A crash reverts unflushed cells to their
@@ -302,18 +303,18 @@ class SimRuntime:
 
     Every operation and recovery runs through :meth:`_run_op`, every
     process's operation sequence through :meth:`_run_ops`, and every crash
-    through :meth:`crash` (or :meth:`crash_branch`, which shares its
-    effects), in both driving modes:
+    through :meth:`crash`, in both driving modes:
 
     * *direct*: operations run synchronously on the calling thread
       (single-process workloads; optional planned crash steps).
     * *process*: one generator per process (the twin :mod:`derive` makes of
       :meth:`_run_ops`), advanced one shared-cell access at a time via
-      :meth:`grant_step`, with :meth:`crash` available between steps.  All
-      of it runs on the calling thread.  An exception an operation raises
-      ends its process and propagates out of the call that resumed it.
-      Between steps a run can also be saved (:meth:`save`), crashed on
-      fresh process generators (:meth:`crash_branch`), and restored.
+      :meth:`grant_step`, with :meth:`crash` available between steps; a
+      crash restarts each unfinished process on a fresh generator, in
+      recovery if it was inside an operation.  All of it runs on the
+      calling thread.  An exception an operation raises ends its process
+      and propagates out of the call that resumed it.  Between steps a run
+      can also be saved (:meth:`save`), crashed, and restored.
     """
 
     kind = "sim"
@@ -459,23 +460,37 @@ class SimRuntime:
     # -- crash semantics ----------------------------------------------------
 
     def crash(self, policy: Optional[CrashPolicy] = None) -> None:
-        """Whole-system crash: fail in-flight ops, drop unflushed writes.
+        """Whole-system crash: every process loses its local state, and
+        unflushed writes are dropped.
 
-        In process mode each failed process then starts its recovery, in
-        pid order, and pauses at the recovery's first gate.  Starting a
-        recovery takes no step, and no recovery allocates a cell before its
-        first shared-cell access, so no other order could change the history
-        beyond the order of the ``RecoverBegin`` events, which all carry the
-        crash's ``t``."""
+        In process mode every unfinished process restarts on a fresh process
+        generator at the operation it was at: one paused inside an operation
+        then starts that operation's recovery, in pid order, and pauses at the
+        recovery's first gate, and one parked before an operation parks there
+        again.  The crash runs on copies of the history and of the
+        per-process lists, so a run saved before it can be restored.
+        Starting a recovery takes no step, and no recovery allocates a cell
+        before its first shared-cell access, so no other order could change
+        the history beyond the order of the ``RecoverBegin`` events, which all
+        carry the crash's ``t``."""
         if policy is not None:
             self.policy = policy
-        failed = [pid for pid, at in enumerate(self._at) if at is _GATE]
-        for pid in failed:
-            self._advance(pid, CrashUnwind())
-        self._crash_effects(failed)
-
-    def _crash_effects(self, failed: list) -> None:
-        """What a crash does once the ``failed`` processes have unwound."""
+        failed = []
+        if self._procs:
+            run_ops = derive.twin(self._run_ops)
+            self.history = self.history[:]
+            self._op_steps = self._op_steps[:]
+            self._op_index = self._op_index[:]
+            self.live = set(self.live)
+            self._procs = procs = self._procs[:]
+            self._at = at = self._at[:]
+            for pid in sorted(self.live):
+                gate = at[pid] is _GATE
+                if gate:
+                    failed.append(pid)
+                procs[pid] = run_ops(pid, self._workload[pid], self._park,
+                                     self._op_index[pid], gate or at[pid] is _RECOVER)
+                self._advance(pid)
         self._emit(CrashEvent(self.steps))
         for cell in self._vcells:
             if cell.v is not cell.p and cell.v != cell.p:
@@ -495,21 +510,25 @@ class SimRuntime:
     def save(self) -> tuple:
         """Everything a run can change from here on, for :meth:`restore`.
 
-        Process mode, between steps.  Values are copied (every cell's
-        ``v``/``p``/``owner``, the step count, the crash rng's state); the
-        process table, history and per-process lists are kept by reference,
-        since :meth:`crash_branch` leaves them untouched."""
+        Process mode, between steps.  Values are copied: every cell's
+        ``v``/``p``/``owner``, the step count, the crash rng's state, and the
+        bound structure's state outside cells, through its ``save_private``
+        if it has one.  The process table, history and per-process lists are
+        kept by reference, since :meth:`crash` leaves them untouched."""
+        obj = self.obj
         return (self.steps, None if self._rng is None else self._rng.getstate(),
                 [(c, c.v, c.p, c.owner) for c in self._cells], len(self._cells),
                 len(self._vcells), None if self.trace is None else len(self.trace),
                 self.history, self._op_steps, self._op_index, self._procs,
-                self._at, self.live)
+                self._at, self.live,
+                obj.save_private() if hasattr(obj, "save_private") else None)
 
     def restore(self, saved: tuple) -> None:
         """Put the run back as :meth:`save` found it, so its paused
-        processes can go on; a branch's processes must be closed first."""
+        processes can go on; processes started since must be closed first."""
         (self.steps, rng, values, ncells, nvcells, ntrace, self.history,
-         self._op_steps, self._op_index, self._procs, self._at, self.live) = saved
+         self._op_steps, self._op_index, self._procs, self._at, self.live,
+         private) = saved
         if rng is None:
             self._rng = None
         else:
@@ -520,33 +539,9 @@ class SimRuntime:
         del self._vcells[nvcells:]
         if ntrace is not None:
             del self.trace[ntrace:]
+        if hasattr(self.obj, "restore_private"):
+            self.obj.restore_private(private)
         self._granted = None
-
-    def crash_branch(self) -> None:
-        """Crash here as :meth:`crash` would, but on fresh process generators,
-        leaving the paused ones, and every list they hold, as they are.
-
-        A process paused inside operation i restarts in its recovery, one
-        parked before operation i restarts parked there, and a finished one
-        stays finished.  The crash then runs on copies of the history and of
-        the per-process lists, so :meth:`restore` can bring the saved run
-        back."""
-        run_ops = derive.twin(self._run_ops)
-        self.history = self.history[:]
-        self._op_steps = self._op_steps[:]
-        self._op_index = self._op_index[:]
-        self.live = set(self.live)
-        self._procs = procs = self._procs[:]
-        self._at = at = self._at[:]
-        failed = []
-        for pid in sorted(self.live):
-            gate = at[pid] is _GATE
-            if gate:
-                failed.append(pid)
-            procs[pid] = run_ops(pid, self._workload[pid], self._park,
-                                 self._op_index[pid], gate or at[pid] is _RECOVER)
-            self._advance(pid)
-        self._crash_effects(failed)
 
     # -- operations ---------------------------------------------------------
 
@@ -654,13 +649,13 @@ class SimRuntime:
         self._op_index[pid] = i
         yield _RECOVER if recovering else _START
 
-    def _advance(self, pid: int, exc: Optional[Exception] = None) -> None:
-        """Run ``pid`` to its next yield, first raising ``exc`` at the yield it
-        stopped at, if given.  An exception its operation raises propagates."""
-        at, proc = self._at, self._procs[pid]
+    def _advance(self, pid: int) -> None:
+        """Run ``pid`` to its next yield.  An exception its operation raises
+        propagates."""
+        at = self._at
         at[pid] = _DONE
         try:
-            at[pid] = next(proc) if exc is None else proc.throw(exc)
+            at[pid] = next(self._procs[pid])
         except StopIteration as stop:
             at[pid] = _DONE if stop.value else _ABANDONED
             self.live.discard(pid)

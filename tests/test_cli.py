@@ -1,5 +1,7 @@
 """CLI surface: bench and verify subcommands."""
 
+import pytest
+
 from nvtrack.bench import BenchConfig
 from nvtrack.cli import main
 
@@ -62,3 +64,24 @@ def test_verify_subcommand_samples_mode(capsys):
                "--budget", "300"])
     assert rc == 0
     assert "PASS bst.detectability" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("arg,value", [
+    ("--pids", "0"), ("--ops-per-pid", "0"), ("--budget", "0"),
+    ("--samples", "-1"), ("--max-crashes", "0"), ("--max-crashes", "3"),
+    ("--pids", "two")])
+def test_verify_rejects_out_of_range_arguments(capsys, arg, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--structure", "list", arg, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {arg}:" in err
+
+
+def test_verify_accepts_the_smallest_allowed_arguments(capsys):
+    rc = main(["verify", "--structure", "list", "--pids", "1",
+               "--ops-per-pid", "1", "--budget", "300", "--samples", "0",
+               "--max-crashes", "2"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith("PASS list.detectability: 5 runs ")

@@ -7,12 +7,13 @@ import threading
 import pytest
 
 from nvtrack import harness
-from nvtrack.checker import op_shape
+from nvtrack.checker import StackModel, op_shape
 from nvtrack.cli import default_workload
 from nvtrack.harness import (
     DEFAULT_PATTERNS,
     STRUCTURES,
     Schedule,
+    StructureAdapter,
     detectability_sweep,
     enumerate_crash_points,
     pattern_quanta,
@@ -286,6 +287,25 @@ def test_crash_runs_equal_fresh_runs_of_their_schedules(name, pids, cache, seed,
     crash_runs = 0
     for outcome in enumerate_crash_points(adapter, workload, max_crashes=2,
                                           **points, **common):
+        fresh = run_schedule(adapter, workload, outcome.schedule,
+                             label=outcome.label, **common)
+        assert _summary(outcome) == _summary(fresh)
+        crash_runs += bool(outcome.schedule.crashes)
+    assert crash_runs >= 12
+
+
+# The stack keeps its elimination rngs and ranges outside cells; a crash run
+# must restore them even for an adapter that only names the stack's maker.
+@pytest.mark.parametrize("seed", [0, 1])
+def test_crash_runs_restore_state_a_structure_keeps_outside_cells(seed):
+    stack = STRUCTURES["stack"]
+    adapter = StructureAdapter("stack-bare", stack.make, stack.ops, StackModel,
+                               strict_exempt=())
+    workload, setup, _ = default_workload("stack", 3, 2, seed)
+    common = dict(setup=setup, seed=seed, step_budget=300)
+    crash_runs = 0
+    for outcome in enumerate_crash_points(adapter, workload, max_crashes=2,
+                                          **common):
         fresh = run_schedule(adapter, workload, outcome.schedule,
                              label=outcome.label, **common)
         assert _summary(outcome) == _summary(fresh)
