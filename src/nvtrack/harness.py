@@ -431,7 +431,9 @@ class SweepReport:
 
     @property
     def passed(self) -> bool:
-        return not self.violations and not self.strict_violations
+        """No violation, and at least one history checked: a sweep whose
+        every run was inconclusive shows nothing."""
+        return self.ok > 0 and not self.violations and not self.strict_violations
 
     def summary(self) -> str:
         return (f"{self.total} runs ({self.distinct} distinct op-level "

@@ -37,9 +37,9 @@ class Internal:
 
     def __init__(self, m, p, key, left, right):
         self.key = key
-        self.update = m.new_cell(UpdateWord(CLEAN, None), owner=p)
-        self.left = m.new_cell(left, owner=p)
-        self.right = m.new_cell(right, owner=p)
+        self.update = m.new_cell(UpdateWord(CLEAN, None))
+        self.left = m.new_cell(left)
+        self.right = m.new_cell(right)
 
 
 class Leaf:
@@ -56,7 +56,7 @@ class InsertInfo(InfoRecord):
         self.p = p
         self.l = l
         self.new_internal = new_internal
-        self.result = m.new_cell(result, owner=pid)
+        self.result = m.new_cell(result)
 
 
 class DeleteInfo(InfoRecord):
@@ -67,7 +67,7 @@ class DeleteInfo(InfoRecord):
         self.p = p
         self.l = l
         self.pupdate = pupdate
-        self.result = m.new_cell(result, owner=pid)
+        self.result = m.new_cell(result)
 
 
 class BaselineBst:

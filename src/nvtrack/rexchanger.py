@@ -35,10 +35,10 @@ class ExchangeInfo(InfoRecord):
     __slots__ = ("state", "value", "result", "partner", "slot")
 
     def __init__(self, m, p, state, value, slot=None):
-        self.state = m.new_cell(state, owner=p)
+        self.state = m.new_cell(state)
         self.value = value
-        self.result = m.new_cell(UNSET, owner=p)
-        self.partner = m.new_cell(None, owner=p)
+        self.result = m.new_cell(UNSET)
+        self.partner = m.new_cell(None)
         self.slot = slot
 
 

@@ -114,17 +114,17 @@ class ListNode:
 
     def __init__(self, m, p, key, succ, *, flushable: bool, flushed: bool = False):
         self.key = key
-        self.next = m.new_cell(MarkedRef(succ, False), owner=p)
-        self.deleter = m.new_cell(m.nprocs, owner=p)   # nprocs encodes "nobody"
-        self.flushed = m.new_cell(flushed, owner=p) if flushable else None
+        self.next = m.new_cell(MarkedRef(succ, False))
+        self.deleter = m.new_cell(m.nprocs)   # nprocs encodes "nobody"
+        self.flushed = m.new_cell(flushed) if flushable else None
 
 
 class ListInfo(InfoRecord):
     __slots__ = ("nd", "result")
 
     def __init__(self, m, p, nd):
-        self.nd = m.new_cell(nd, owner=p)
-        self.result = m.new_cell(UNSET, owner=p)
+        self.nd = m.new_cell(nd)
+        self.result = m.new_cell(UNSET)
 
 
 class RecoverableList(BaselineList):
@@ -225,6 +225,8 @@ class RecoverableList(BaselineList):
                 self._persist(p, info.result)
                 return False
             m.write(p, newnd.next, MarkedRef(curr, False))
+            if self._fp:
+                m.flush(p, newnd.next)   # persisted before the node is reachable
             if m.cas(p, pred.next, MarkedRef(curr, False),
                      MarkedRef(newnd, False), note="link"):
                 if self._fp:

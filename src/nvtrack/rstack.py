@@ -31,17 +31,17 @@ class StackNode:
 
     def __init__(self, m, p, value):
         self.value = value
-        self.next = m.new_cell(None, owner=p)
-        self.pushed = m.new_cell(False, owner=p)
-        self.popper = m.new_cell(m.nprocs, owner=p)   # nprocs encodes "nobody"
+        self.next = m.new_cell(None)
+        self.pushed = m.new_cell(False)
+        self.popper = m.new_cell(m.nprocs)   # nprocs encodes "nobody"
 
 
 class CentralInfo(InfoRecord):
     __slots__ = ("nd", "result")
 
     def __init__(self, m, p, nd, result=UNSET):
-        self.nd = m.new_cell(nd, owner=p)
-        self.result = m.new_cell(result, owner=p)
+        self.nd = m.new_cell(nd)
+        self.result = m.new_cell(result)
 
 
 class _DrawLog(list):
@@ -208,8 +208,11 @@ class EliminationStack:
 
     def save_private(self) -> tuple:
         """The simulated state kept outside cells: each process's elimination
-        rng and range (for the harness, which branches runs).  An rng's state
-        is copied only if it was drawn since the copy already held."""
+        rng and range, for ``SimRuntime.save``, which branches crash runs off
+        a saved run.  Any structure with state outside cells must provide
+        this pair, ``save_private``/``restore_private``, under these names.
+        An rng's state is copied only if it was drawn since the copy already
+        held."""
         rngs, held = self._rng, self._held
         for p, rng in enumerate(rngs):
             if p in rngs.drawn:

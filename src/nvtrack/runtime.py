@@ -21,12 +21,12 @@ recovery-data reference ``rd``).  Two backends implement the API:
   crash runs.
 
 Volatile-cache simulation keeps two values per cell: ``v`` (the cached value)
-and ``p`` (the persisted one).  A crash reverts unflushed cells to their
-persisted value, subject to the configured :class:`CrashPolicy`.  Writes to a
-cell that no process other than its creator has ever touched persist
-immediately -- they race nothing, exactly like the stores that initialize a
-freshly allocated record.  Durable-cache cells keep both values in sync on
-every write.
+and ``p`` (the persisted one).  One rule decides persistence: a write reaches
+``p`` only when its cell is flushed, or at once if the cell is durable.  A
+crash reverts unflushed cells to their persisted value, subject to the
+configured :class:`CrashPolicy`.  The one assumption kept is that allocation
+is persistent: a cell's initial value, given to ``new_cell``, is already its
+persisted value.
 """
 
 from __future__ import annotations
@@ -86,13 +86,12 @@ CLEAN, IFLAG, DFLAG, MARK = 0, 1, 2, 3
 class Cell:
     """One word of shared memory with a cached and a persisted value."""
 
-    __slots__ = ("v", "p", "durable", "owner")
+    __slots__ = ("v", "p", "durable")
 
-    def __init__(self, value: Any, durable: bool, owner: Optional[int] = None) -> None:
+    def __init__(self, value: Any, durable: bool) -> None:
         self.v = value
         self.p = value
         self.durable = durable
-        self.owner = owner
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Cell(v={self.v!r}, p={self.p!r})"
@@ -235,8 +234,7 @@ class NativeRuntime:
     def ctx(self, pid: int) -> ProcessCtx:
         return self._ctxs[pid]
 
-    def new_cell(self, value: Any, *, durable: Optional[bool] = None,
-                 owner: Optional[int] = None) -> Cell:
+    def new_cell(self, value: Any) -> Cell:
         return Cell(value, True)
 
     def read(self, pid: int, cell: Cell) -> Any:
@@ -337,7 +335,7 @@ class SimRuntime:
         # every cell of this runtime's memory
         self._cells = [c for ctx in self._ctxs for c in (ctx.cp, ctx.rd)]
         self._vcells: list[Cell] = []
-        self._durable = cache == "durable"     # a new cell's default
+        self._durable = cache == "durable"     # every new cell's mode
         self._seed = seed
         self._rng: Optional[random.Random] = None   # made at its first draw
         self._op_steps = [0] * nprocs
@@ -370,13 +368,12 @@ class SimRuntime:
 
     # -- cells --------------------------------------------------------------
 
+    # ``durable`` and ``owner`` are unused: nvbench's CountingSim forwards them.
     def new_cell(self, value: Any, *, durable: Optional[bool] = None,
                  owner: Optional[int] = None) -> Cell:
-        if durable is None:
-            durable = self._durable
-        cell = Cell(value, durable, owner)
+        cell = Cell(value, self._durable)
         self._cells.append(cell)
-        if not durable:
+        if not self._durable:
             self._vcells.append(cell)
         return cell
 
@@ -398,21 +395,15 @@ class SimRuntime:
             raise StepBudgetExceeded()
         self.steps += 1
 
-    def _publish(self, pid: Optional[int], cell: Cell) -> None:
-        if cell.owner is not None and cell.owner != pid:
-            cell.owner = None
-
     def read(self, pid: int, cell: Cell) -> Any:
         self._gate(pid)
-        self._publish(pid, cell)
         return cell.v
 
     def write(self, pid: int, cell: Cell, value: Any) -> None:
         self._gate(pid)
-        self._publish(pid, cell)
         old = cell.v
         cell.v = value
-        if cell.durable or cell.owner is not None:
+        if cell.durable:
             cell.p = value
         if self.trace is not None:
             self.trace.append(("write", pid, cell, old, value, True, None, self.steps))
@@ -420,11 +411,10 @@ class SimRuntime:
     def cas(self, pid: int, cell: Cell, expected: Any, new: Any,
             note: Optional[str] = None) -> bool:
         self._gate(pid)
-        self._publish(pid, cell)
         ok = cell.v == expected
         if ok:
             cell.v = new
-            if cell.durable or cell.owner is not None:
+            if cell.durable:
                 cell.p = new
         if self.trace is not None:
             self.trace.append(("cas", pid, cell, expected, new, ok, note, self.steps))
@@ -432,12 +422,11 @@ class SimRuntime:
 
     def cas_fetch(self, pid: int, cell: Cell, expected: Any, new: Any) -> Any:
         self._gate(pid)
-        self._publish(pid, cell)
         old = cell.v
         ok = old == expected
         if ok:
             cell.v = new
-            if cell.durable or cell.owner is not None:
+            if cell.durable:
                 cell.p = new
         if self.trace is not None:
             self.trace.append(("cas", pid, cell, expected, new, ok, None, self.steps))
@@ -511,13 +500,13 @@ class SimRuntime:
         """Everything a run can change from here on, for :meth:`restore`.
 
         Process mode, between steps.  Values are copied: every cell's
-        ``v``/``p``/``owner``, the step count, the crash rng's state, and the
+        ``v``/``p``, the step count, the crash rng's state, and the
         bound structure's state outside cells, through its ``save_private``
         if it has one.  The process table, history and per-process lists are
         kept by reference, since :meth:`crash` leaves them untouched."""
         obj = self.obj
         return (self.steps, None if self._rng is None else self._rng.getstate(),
-                [(c, c.v, c.p, c.owner) for c in self._cells], len(self._cells),
+                [(c, c.v, c.p) for c in self._cells], len(self._cells),
                 len(self._vcells), None if self.trace is None else len(self.trace),
                 self.history, self._op_steps, self._op_index, self._procs,
                 self._at, self.live,
@@ -533,8 +522,8 @@ class SimRuntime:
             self._rng = None
         else:
             self._rng.setstate(rng)
-        for cell, v, p, owner in values:
-            cell.v, cell.p, cell.owner = v, p, owner
+        for cell, v, p in values:
+            cell.v, cell.p = v, p
         del self._cells[ncells:]
         del self._vcells[nvcells:]
         if ntrace is not None:

@@ -85,3 +85,13 @@ def test_verify_accepts_the_smallest_allowed_arguments(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("PASS list.detectability: 5 runs ")
+
+
+def test_verify_fails_when_no_history_is_checked(capsys):
+    # one process's one unbounded exchange never finds a partner
+    rc = main(["verify", "--structure", "exchanger", "--pids", "1",
+               "--ops-per-pid", "1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("FAIL exchanger.detectability: ")
+    assert " 0 ok, " in out

@@ -274,7 +274,8 @@ BRANCH_CASES = [pytest.param(name, pids, {}, id=f"{name}-{pids}")
 
 # Every crash point along two patterns, or eight seeded points along each of
 # the five.  The workload seeds are ones whose histories depend on the stack's
-# elimination rng and on list-flush's cell owners, which a branch must restore.
+# elimination rng and on list-flush's unflushed writes, which a branch must
+# restore.
 @pytest.mark.parametrize("seed,points", [(1, dict(patterns=("block", "rand0"))),
                                          (0, dict(samples=8))],
                          ids=["full", "sampled"])

@@ -35,8 +35,8 @@ from nvtrack.harness import (
 )
 
 PINNED_SHA256 = "53980c3d02b8732f5620e3dcfa26ae9542699bb9cf95edcfc9eab769964a6ff0"
-PINNED_LIST_FLUSH_SHA256 = "9c15ae838cc43beb536403feb7cd3614d4e1e4c3a8fa507c674ada0a93ed6856"
-PINNED_SWEEP_SHA256 = "cee63eacdd8ce809022af2a94b35966d58bf858f0a4daee4f8b41ccb53291b1b"
+PINNED_LIST_FLUSH_SHA256 = "8b5108d819ba34d5ae1fb78af0776633862e4dc44af9cc4861cf4cbd7cd57436"
+PINNED_SWEEP_SHA256 = "852313f5265f17ba76641cc43c46413788a77b4063deb00dd6bef98037bd7925"
 
 THREADED = ("list", "bst", "stack", "exchanger", "exchanger-timed")
 CRASH_POINTS = 12              # seeded crash points per pattern

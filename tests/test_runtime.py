@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nvtrack.rlist import ListInfo
 from nvtrack.runtime import (
     CrashPolicy,
     DispatchError,
@@ -88,17 +89,17 @@ def test_after_crash_volatile_equals_persisted_everywhere():
         assert c.v == c.p
 
 
-def test_creator_writes_persist_until_another_process_touches():
-    # a record's initialization races nothing: its writes reach memory
+def test_private_writes_persist_only_once_flushed():
+    # a fresh record no other process has touched gets no persistence for free
     rt = SimRuntime(2, cache="volatile")
-    c = rt.new_cell(0, owner=0)
-    rt.write(0, c, 5)          # still private to pid 0
+    c = ListInfo(rt, 0, None).result     # allocation persists UNSET
+    rt.write(0, c, True)
     rt.crash()
-    assert rt.read(0, c) == 5
-    rt.read(1, c)              # published now
-    rt.write(0, c, 9)
+    assert rt.read(0, c) is UNSET
+    rt.write(0, c, True)
+    rt.flush(0, c)
     rt.crash()
-    assert rt.read(0, c) == 5
+    assert rt.read(0, c) is True
 
 
 def test_drop_random_policy_is_deterministic():
