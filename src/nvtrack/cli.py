@@ -41,7 +41,7 @@ def _int_at_least(low: int):
     return parse
 
 
-def _verify_parser(sub) -> None:
+def _verify_parser(sub) -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="enumerate crash points and check histories")
     p.add_argument("--structure", default="list",
                    choices=sorted(harness.STRUCTURES))
@@ -56,6 +56,7 @@ def _verify_parser(sub) -> None:
     p.add_argument("--budget", type=_int_at_least(1), default=600,
                    help="per-operation step budget")
     p.add_argument("--verbose", action="store_true")
+    return p
 
 
 def default_workload(structure: str, pids: int, ops_per_pid: int,
@@ -144,10 +145,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     _bench_parser(sub)
-    _verify_parser(sub)
+    verify = _verify_parser(sub)
     args = parser.parse_args(argv)
     if args.command == "bench":
         return cmd_bench(args)
+    if args.structure == "exchanger" and (args.pids < 2 or args.pids * args.ops_per_pid % 2):
+        verify.error("exchanger needs 2 or more --pids and an even --pids times "
+                     "--ops-per-pid: an exchange with no partner never completes")
     return cmd_verify(args)
 
 

@@ -4,14 +4,21 @@ Structures stay written once as plain functions.  :func:`twin` derives at run
 time, by an ``ast`` pass over its source, a generator twin of each function a
 ``SimRuntime`` process reaches.  The twin yields one scheduling point before
 each shared-cell access (a call of a method named in ``ACCESSES``), after the
-access's own arguments are evaluated, so ``m.write(p, c, m.read(p, d))``
-still takes the read step first.  Every other call goes through :func:`twin`:
-a callee with a twin is entered with ``yield from``, any other is called as
-it is.  Lambdas, comprehensions and nested ``def``/``class`` bodies are not
-rewritten, and standard-library functions, generator functions and functions
-that call nothing get no twin, so an access they make has no scheduling point
-(``SimRuntime`` raises).  A function whose source cannot be read is an error
-that names it.  Twins keep the original file and line numbers.
+access's own arguments are evaluated: ``m.cas(p, c, old, new)`` becomes
+``m.cas(p, c, old, (new, (yield))[0])``, the gate wrapping the last argument
+(the last keyword value, if there is one), and only an access whose last
+argument is ``*x`` or ``**x`` gets ``**((yield) or {})`` appended instead.  So
+``m.write(p, c, m.read(p, d))`` still takes the read step first.  A call of a
+bare name that is not a parameter, local, cell or free variable of the
+function, and that its globals (failing that, builtins) bind at derive time
+to a class or builtin function, is left as it is.  Every other call goes
+through :func:`twin`: a callee with a twin is entered with ``yield from``, any
+other is called as it is.  Lambdas, comprehensions and nested
+``def``/``class`` bodies are not rewritten, and standard-library functions,
+generator functions and functions left with no rewritten call get no twin,
+so an access they make has no scheduling point (``SimRuntime`` raises).  A
+function whose source cannot be read is an error that names it.  Twins keep
+the original file and line numbers.
 """
 
 from __future__ import annotations
@@ -67,17 +74,38 @@ _TWIN_CELL = types.CellType(twin)
 _CALL = f"(yield from {_T}()) if ({_T} := {_TWIN}({_F} := f)) is not None else {_F}()"
 
 
+def _gated(value: ast.expr) -> ast.expr:
+    """``(value, (yield))[0]``: ``value``, then a scheduling point."""
+    return ast.Subscript(ast.Tuple([value, ast.Yield(None)], ast.Load()),
+                         ast.Constant(0), ast.Load())
+
+
 class _Rewrite(ast.NodeTransformer):
-    calls = 0
+    def __init__(self, fn):
+        code = fn.__code__
+        self.calls = 0                 # calls rewritten
+        self.local = {*code.co_varnames, *code.co_cellvars, *code.co_freevars}
+        self.globals, self.builtins = fn.__globals__, fn.__builtins__
 
     def visit_Call(self, node: ast.Call) -> ast.AST:
         self.generic_visit(node)
-        self.calls += 1
         if isinstance(node.func, ast.Attribute) and node.func.attr in ACCESSES:
-            # f(args, **((yield) or {})): the gate follows every argument
-            gate = ast.BoolOp(ast.Or(), [ast.Yield(None), ast.Dict([], [])])
-            node.keywords.append(ast.keyword(None, gate))
+            self.calls += 1
+            last = (node.keywords or node.args or [None])[-1]
+            if isinstance(last, ast.keyword) and last.arg is not None:
+                last.value = _gated(last.value)
+            elif isinstance(last, ast.expr) and not isinstance(last, ast.Starred):
+                node.args[-1] = _gated(last)
+            else:                      # f(*x, **((yield) or {}))
+                gate = ast.BoolOp(ast.Or(), [ast.Yield(None), ast.Dict([], [])])
+                node.keywords.append(ast.keyword(None, gate))
             return node
+        if isinstance(node.func, ast.Name) and node.func.id not in self.local:
+            name = node.func.id
+            callee = self.globals.get(name, self.builtins.get(name))
+            if isinstance(callee, (type, types.BuiltinFunctionType)):
+                return node            # a class or builtin: it has no twin
+        self.calls += 1
         new = ast.parse(_CALL, mode="eval").body
         for part in ast.walk(new):
             ast.copy_location(part, node)
@@ -115,7 +143,7 @@ def _derive(fn):
         raise RuntimeError(f"cannot derive a simulated process from {where}: "
                            "its source does not define it")
     ast.increment_lineno(node, start - 1 - indented)
-    rewrite = _Rewrite()
+    rewrite = _Rewrite(fn)
     node.body = [rewrite.visit(stmt) for stmt in node.body]
     if not rewrite.calls:
         return None                    # it can reach no access

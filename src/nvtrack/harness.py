@@ -85,7 +85,7 @@ def _timed_exchange_recover(obj, pid, value):
 
 
 def _make_timed_exchanger(rt):
-    default = rexchanger.ExchangeInfo(rt, None, rexchanger.EX_EMPTY, UNSET)
+    default = rexchanger.ExchangeInfo(rt, rexchanger.EX_EMPTY, UNSET)
     return rexchanger.TimedExchanger(rt, default)
 
 

@@ -35,7 +35,7 @@ INF1 = 2 ** 63 - 2   # user keys must be strictly below INF1
 class Internal:
     __slots__ = ("key", "update", "left", "right")
 
-    def __init__(self, m, p, key, left, right):
+    def __init__(self, m, key, left, right):
         self.key = key
         self.update = m.new_cell(UpdateWord(CLEAN, None))
         self.left = m.new_cell(left)
@@ -52,7 +52,7 @@ class Leaf:
 class InsertInfo(InfoRecord):
     __slots__ = ("p", "l", "new_internal", "result")
 
-    def __init__(self, m, pid, p, l, new_internal, result=UNSET):
+    def __init__(self, m, p, l, new_internal, result=UNSET):
         self.p = p
         self.l = l
         self.new_internal = new_internal
@@ -62,7 +62,7 @@ class InsertInfo(InfoRecord):
 class DeleteInfo(InfoRecord):
     __slots__ = ("gp", "p", "l", "pupdate", "result")
 
-    def __init__(self, m, pid, gp, p, l, pupdate, result=UNSET):
+    def __init__(self, m, gp, p, l, pupdate, result=UNSET):
         self.gp = gp
         self.p = p
         self.l = l
@@ -75,7 +75,7 @@ class BaselineBst:
 
     def __init__(self, m):
         self.m = m
-        self.root = Internal(m, None, INF2, Leaf(INF1), Leaf(INF2))
+        self.root = Internal(m, INF2, Leaf(INF1), Leaf(INF2))
 
     def search(self, p, k):
         """Descend to the leaf for ``k``; returns (gp, parent, leaf,
@@ -152,8 +152,8 @@ class BaselineBst:
             else:
                 sibling = Leaf(l.key)
                 lo, hi = (new_leaf, sibling) if k < l.key else (sibling, new_leaf)
-                new_internal = Internal(m, p, max(k, l.key), lo, hi)
-                op = InsertInfo(m, p, par, l, new_internal)
+                new_internal = Internal(m, max(k, l.key), lo, hi)
+                op = InsertInfo(m, par, l, new_internal)
                 prev = m.cas_fetch(p, par.update, pu, UpdateWord(IFLAG, op))
                 if prev == pu:
                     self.help_insert(p, op)
@@ -171,7 +171,7 @@ class BaselineBst:
             elif pu.state != CLEAN:
                 self.help(p, pu)
             else:
-                op = DeleteInfo(m, p, gp, par, l, pu)
+                op = DeleteInfo(m, gp, par, l, pu)
                 prev = m.cas_fetch(p, gp.update, gpu, UpdateWord(DFLAG, op))
                 if prev == gpu:
                     if self.help_delete(p, op):
@@ -263,15 +263,15 @@ class RecoverableBst(BaselineBst):
             _, par, l, pu, _ = self.search(p, k)
             if l.key == k:
                 m.write(p, m.ctx(p).rd,
-                        InsertInfo(m, p, None, None, None, result=False))
+                        InsertInfo(m, None, None, None, result=False))
                 return False
             if pu.state != CLEAN:
                 self.help(p, pu)
             else:
                 sibling = Leaf(l.key)
                 lo, hi = (new_leaf, sibling) if k < l.key else (sibling, new_leaf)
-                new_internal = Internal(m, p, max(k, l.key), lo, hi)
-                op = InsertInfo(m, p, par, l, new_internal)
+                new_internal = Internal(m, max(k, l.key), lo, hi)
+                op = InsertInfo(m, par, l, new_internal)
                 m.write(p, m.ctx(p).rd, op)
                 prev = m.cas_fetch(p, par.update, pu, UpdateWord(IFLAG, op))
                 if prev == pu:
@@ -301,14 +301,14 @@ class RecoverableBst(BaselineBst):
             gp, par, l, pu, gpu = self.search(p, k)
             if l.key != k:
                 m.write(p, m.ctx(p).rd,
-                        DeleteInfo(m, p, None, None, None, None, result=False))
+                        DeleteInfo(m, None, None, None, None, result=False))
                 return False
             if gpu.state != CLEAN:
                 self.help(p, gpu)
             elif pu.state != CLEAN:
                 self.help(p, pu)
             else:
-                op = DeleteInfo(m, p, gp, par, l, pu)
+                op = DeleteInfo(m, gp, par, l, pu)
                 m.write(p, m.ctx(p).rd, op)
                 prev = m.cas_fetch(p, gp.update, gpu, UpdateWord(DFLAG, op))
                 if prev == gpu:

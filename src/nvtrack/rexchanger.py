@@ -34,7 +34,7 @@ EX_EMPTY, EX_WAITING, EX_BUSY = 0, 1, 2
 class ExchangeInfo(InfoRecord):
     __slots__ = ("state", "value", "result", "partner", "slot")
 
-    def __init__(self, m, p, state, value, slot=None):
+    def __init__(self, m, state, value, slot=None):
         self.state = m.new_cell(state)
         self.value = value
         self.result = m.new_cell(UNSET)
@@ -59,7 +59,7 @@ class TimedExchanger:
     def exchange(self, p, value, timeout) -> Any:
         m = self.m
         deadline = m.now() + timeout
-        myop = ExchangeInfo(m, p, EX_WAITING, value, slot=self)
+        myop = ExchangeInfo(m, EX_WAITING, value, slot=self)
         m.write(p, m.ctx(p).rd, myop)
         return self._collide(p, myop, deadline)
 
@@ -142,7 +142,7 @@ class Exchanger(TimedExchanger):
     """Single-slot exchanger whose callers wait until somebody collides."""
 
     def __init__(self, m):
-        super().__init__(m, ExchangeInfo(m, None, EX_EMPTY, UNSET))
+        super().__init__(m, ExchangeInfo(m, EX_EMPTY, UNSET))
 
     def _reinvoke(self, p, value):
         self.m.invoke_reset(p)
@@ -150,7 +150,7 @@ class Exchanger(TimedExchanger):
 
     def exchange(self, p, value) -> Any:
         m = self.m
-        myop = ExchangeInfo(m, p, EX_WAITING, value)
+        myop = ExchangeInfo(m, EX_WAITING, value)
         m.write(p, m.ctx(p).rd, myop)
         m.write(p, m.ctx(p).cp, 1)
         return self._collide(p, myop, math.inf)

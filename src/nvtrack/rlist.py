@@ -112,7 +112,7 @@ class BaselineList:
 class ListNode:
     __slots__ = ("key", "next", "deleter", "flushed")
 
-    def __init__(self, m, p, key, succ, *, flushable: bool, flushed: bool = False):
+    def __init__(self, m, key, succ, *, flushable: bool, flushed: bool = False):
         self.key = key
         self.next = m.new_cell(MarkedRef(succ, False))
         self.deleter = m.new_cell(m.nprocs)   # nprocs encodes "nobody"
@@ -122,7 +122,7 @@ class ListNode:
 class ListInfo(InfoRecord):
     __slots__ = ("nd", "result")
 
-    def __init__(self, m, p, nd):
+    def __init__(self, m, nd):
         self.nd = m.new_cell(nd)
         self.result = m.new_cell(UNSET)
 
@@ -134,16 +134,16 @@ class RecoverableList(BaselineList):
         self.m = m
         self._fp = flush_protocol
         if flush_protocol:
-            head = ListNode(m, None, KEY_MIN, None, flushable=True, flushed=True)
+            head = ListNode(m, KEY_MIN, None, flushable=True, flushed=True)
             self._flush_node(None, head)
-            tail = ListNode(m, None, KEY_MAX, None, flushable=True, flushed=True)
+            tail = ListNode(m, KEY_MAX, None, flushable=True, flushed=True)
             m.write(None, head.next, MarkedRef(tail, False))
             self._flush_node(None, tail)
             m.flush(None, head.next)
             self.head, self.tail = head, tail
         else:
-            tail = ListNode(m, None, KEY_MAX, None, flushable=False)
-            head = ListNode(m, None, KEY_MIN, tail, flushable=False)
+            tail = ListNode(m, KEY_MAX, None, flushable=False)
+            head = ListNode(m, KEY_MIN, tail, flushable=False)
             self.head, self.tail = head, tail
 
     def _flush_node(self, p, nd: ListNode) -> None:
@@ -212,8 +212,8 @@ class RecoverableList(BaselineList):
 
     def insert(self, p, key) -> bool:
         m = self.m
-        newnd = ListNode(m, p, key, None, flushable=self._fp)
-        info = ListInfo(m, p, newnd)
+        newnd = ListNode(m, key, None, flushable=self._fp)
+        info = ListInfo(m, newnd)
         m.write(p, m.ctx(p).rd, info)
         self._persist(p, m.ctx(p).rd)
         m.write(p, m.ctx(p).cp, 1)
@@ -258,7 +258,7 @@ class RecoverableList(BaselineList):
 
     def delete(self, p, key) -> bool:
         m = self.m
-        info = ListInfo(m, p, None)
+        info = ListInfo(m, None)
         m.write(p, m.ctx(p).rd, info)
         self._persist(p, m.ctx(p).rd)
         m.write(p, m.ctx(p).cp, 1)

@@ -29,7 +29,7 @@ from .runtime import EMPTY, InfoRecord, NULL, RETRY, TIMEOUT, UNSET
 class StackNode:
     __slots__ = ("value", "next", "pushed", "popper")
 
-    def __init__(self, m, p, value):
+    def __init__(self, m, value):
         self.value = value
         self.next = m.new_cell(None)
         self.pushed = m.new_cell(False)
@@ -39,7 +39,7 @@ class StackNode:
 class CentralInfo(InfoRecord):
     __slots__ = ("nd", "result")
 
-    def __init__(self, m, p, nd, result=UNSET):
+    def __init__(self, m, nd, result=UNSET):
         self.nd = m.new_cell(nd)
         self.result = m.new_cell(result)
 
@@ -67,7 +67,7 @@ class EliminationStack:
         self.slots = slots
         self.exchange_wait = exchange_wait or m.default_exchange_wait
         self.top = m.new_cell(None)
-        self.default = ExchangeInfo(m, None, EX_EMPTY, UNSET)
+        self.default = ExchangeInfo(m, EX_EMPTY, UNSET)
         self.exchangers = [TimedExchanger(m, self.default) for _ in range(slots)]
         self._rng = _DrawLog([random.Random(f"{seed}:{pid}") for pid in range(m.nprocs)])
         self._held = [None] * m.nprocs     # each rng's state as last saved
@@ -127,8 +127,8 @@ class EliminationStack:
 
     def push(self, p, value) -> bool:
         m = self.m
-        nd = StackNode(m, p, value)
-        data = CentralInfo(m, p, nd)
+        nd = StackNode(m, value)
+        data = CentralInfo(m, nd)
         m.write(p, m.ctx(p).rd, data)
         m.write(p, m.ctx(p).cp, 1)
         while True:
@@ -136,7 +136,7 @@ class EliminationStack:
                 return True
             other = self.visit(p, value, self._range[p], self.exchange_wait)
             if other is NULL:          # collided with a pop
-                m.write(p, m.ctx(p).rd, CentralInfo(m, p, None, True))
+                m.write(p, m.ctx(p).rd, CentralInfo(m, None, True))
                 self._range[p] = max(1, self._range[p] - 1)
                 return True
             if other is TIMEOUT:
@@ -150,7 +150,7 @@ class EliminationStack:
             return self._reinvoke(p, self.push, value)
         if isinstance(data, ExchangeInfo):
             if data.slot.recover(p, data) is NULL:
-                m.write(p, m.ctx(p).rd, CentralInfo(m, p, None, True))
+                m.write(p, m.ctx(p).rd, CentralInfo(m, None, True))
         else:
             nd = m.read(p, data.nd)
             if m.read(p, data.result) is UNSET:
@@ -164,7 +164,7 @@ class EliminationStack:
 
     def pop(self, p) -> Any:
         m = self.m
-        data = CentralInfo(m, p, m.read(p, self.top))
+        data = CentralInfo(m, m.read(p, self.top))
         m.write(p, m.ctx(p).rd, data)
         m.write(p, m.ctx(p).cp, 1)
         while True:
@@ -175,7 +175,7 @@ class EliminationStack:
             if other is TIMEOUT:
                 self._range[p] = min(self.slots, self._range[p] + 1)
             elif other is not NULL:    # collided with a push
-                m.write(p, m.ctx(p).rd, CentralInfo(m, p, None, other))
+                m.write(p, m.ctx(p).rd, CentralInfo(m, None, other))
                 self._range[p] = max(1, self._range[p] - 1)
                 return other
 
@@ -187,7 +187,7 @@ class EliminationStack:
         if isinstance(data, ExchangeInfo):
             temp = data.slot.recover(p, data)
             if temp is not NULL and temp is not UNSET:
-                m.write(p, m.ctx(p).rd, CentralInfo(m, p, None, temp))
+                m.write(p, m.ctx(p).rd, CentralInfo(m, None, temp))
         else:
             nd = m.read(p, data.nd)
             if m.read(p, data.result) is UNSET:

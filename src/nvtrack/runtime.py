@@ -651,12 +651,18 @@ class SimRuntime:
 
     def grant_step(self, pid: int) -> bool:
         """Let ``pid`` perform its next shared-cell access. True if it did."""
-        if self._at[pid] is _START:          # start its next operation
+        at = self._at
+        if at[pid] is _START:                # start its next operation
             self._advance(pid)
-        if self._at[pid] is not _GATE:
+        if at[pid] is not _GATE:
             return False
         self._granted = pid
-        self._advance(pid)
+        at[pid] = _DONE                      # if the step raises, it ends here
+        try:
+            at[pid] = next(self._procs[pid])
+        except StopIteration as stop:
+            at[pid] = _DONE if stop.value else _ABANDONED
+            self.live.discard(pid)
         if self._granted is not None:
             raise RuntimeError(f"process {pid} passed a scheduling point "
                                "without a shared-cell access")

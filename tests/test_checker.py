@@ -199,8 +199,8 @@ class _LossyList(RecoverableList):
         m = self.m
         from nvtrack.rlist import ListInfo, ListNode
         from nvtrack.runtime import MarkedRef
-        newnd = ListNode(m, p, key, None, flushable=False)
-        info = ListInfo(m, p, newnd)
+        newnd = ListNode(m, key, None, flushable=False)
+        info = ListInfo(m, newnd)
         m.write(p, m.ctx(p).rd, info)
         m.write(p, m.ctx(p).cp, 1)
         while True:

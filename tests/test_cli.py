@@ -88,10 +88,28 @@ def test_verify_accepts_the_smallest_allowed_arguments(capsys):
 
 
 def test_verify_fails_when_no_history_is_checked(capsys):
-    # one process's one unbounded exchange never finds a partner
-    rc = main(["verify", "--structure", "exchanger", "--pids", "1",
-               "--ops-per-pid", "1"])
+    # a budget of one step per operation leaves every exchange unfinished
+    rc = main(["verify", "--structure", "exchanger", "--pids", "2",
+               "--ops-per-pid", "1", "--budget", "1"])
     out = capsys.readouterr().out
     assert rc == 1
     assert out.startswith("FAIL exchanger.detectability: ")
     assert " 0 ok, " in out
+
+
+@pytest.mark.parametrize("pids,ops", [(1, 1), (1, 2), (3, 1), (3, 3)])
+def test_verify_rejects_exchanger_workloads_with_an_unpaired_exchange(
+        capsys, pids, ops):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--structure", "exchanger", "--pids", str(pids),
+              "--ops-per-pid", str(ops)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "an exchange with no partner" in err
+
+
+def test_verify_accepts_exchanger_workloads_that_pair_up(capsys):
+    rc = main(["verify", "--structure", "exchanger", "--pids", "3",
+               "--ops-per-pid", "2", "--samples", "2"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("PASS exchanger.detectability:")

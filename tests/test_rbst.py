@@ -75,7 +75,7 @@ def test_cas_child_equal_key_goes_right():
     rt = SimRuntime(1)
     t = RecoverableBst(rt)
     left, right = Leaf(1), Leaf(7)
-    parent = Internal(rt, None, 7, left, right)
+    parent = Internal(rt, 7, left, right)
     new = Leaf(7)
     t.cas_child(0, parent, right, new)
     assert parent.right.v is new and parent.left.v is left
@@ -85,8 +85,8 @@ def test_help_insert_is_idempotent_under_replay():
     rt, t = fresh()
     _, par, leaf, pu, _ = t.search(0, 5)
     new_leaf, sibling = Leaf(5), Leaf(leaf.key)
-    ni = Internal(rt, 0, max(5, leaf.key), new_leaf, sibling)
-    op = InsertInfo(rt, 0, par, leaf, ni)
+    ni = Internal(rt, max(5, leaf.key), new_leaf, sibling)
+    op = InsertInfo(rt, par, leaf, ni)
     assert rt.cas(0, par.update, pu, UpdateWord(IFLAG, op))
     t.help_insert(0, op)
     t.help_insert(0, op)    # replay by a helper

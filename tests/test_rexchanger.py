@@ -22,8 +22,8 @@ TIMED = STRUCTURES["exchanger-timed"]
 
 def test_switch_pair_swaps_values():
     rt = SimRuntime(1)
-    a = ExchangeInfo(rt, 0, EX_EMPTY, 1)
-    b = ExchangeInfo(rt, 0, EX_EMPTY, 2)
+    a = ExchangeInfo(rt, EX_EMPTY, 1)
+    b = ExchangeInfo(rt, EX_EMPTY, 2)
     switch_pair(rt, 0, a, b)
     assert a.result.v == 2 and b.result.v == 1
     switch_pair(rt, 0, a, b)   # replay writes the same values

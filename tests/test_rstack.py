@@ -63,8 +63,8 @@ def test_try_push_contended_loss_leaves_no_trace_of_loser():
     # a single central-stack attempt per op, interleaved with a full push
     def one_try_push(obj, pid, value):
         m = obj.m
-        nd = StackNode(m, pid, value)
-        data = CentralInfo(m, pid, nd)
+        nd = StackNode(m, value)
+        data = CentralInfo(m, nd)
         m.write(pid, m.ctx(pid).rd, data)
         m.write(pid, m.ctx(pid).cp, 1)
         return obj.try_push(pid, data)
@@ -95,7 +95,7 @@ def test_elimination_collision_pairs_push_with_pop():
     # slot 0 must pair, leaving the central stack untouched
     def visit_op(obj, pid, value):
         m = obj.m
-        m.write(pid, m.ctx(pid).rd, CentralInfo(m, pid, None))
+        m.write(pid, m.ctx(pid).rd, CentralInfo(m, None))
         m.write(pid, m.ctx(pid).cp, 1)
         return obj.visit(pid, value, 1, 64)
 
@@ -185,7 +185,7 @@ def _mid_visit_state(value):
     from nvtrack.rexchanger import EX_BUSY, EX_WAITING, ExchangeInfo
     rt = SimRuntime(2)
     stk = rt.bind(EliminationStack(rt, slots=2, exchange_wait=16))
-    myop = ExchangeInfo(rt, 0, EX_WAITING, value, slot=stk.exchangers[0])
+    myop = ExchangeInfo(rt, EX_WAITING, value, slot=stk.exchangers[0])
     rt.write(0, rt.ctx(0).cp, 1)
     rt.write(0, rt.ctx(0).rd, myop)
     return rt, stk, myop

@@ -92,7 +92,7 @@ def test_after_crash_volatile_equals_persisted_everywhere():
 def test_private_writes_persist_only_once_flushed():
     # a fresh record no other process has touched gets no persistence for free
     rt = SimRuntime(2, cache="volatile")
-    c = ListInfo(rt, 0, None).result     # allocation persists UNSET
+    c = ListInfo(rt, None).result     # allocation persists UNSET
     rt.write(0, c, True)
     rt.crash()
     assert rt.read(0, c) is UNSET
