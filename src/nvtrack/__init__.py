@@ -13,7 +13,6 @@ from .runtime import (
     NULL,
     NativeRuntime,
     OpDef,
-    ProcessCtx,
     SimRuntime,
     TIMEOUT,
     UNSET,
@@ -41,7 +40,6 @@ __all__ = [
     "NULL",
     "NativeRuntime",
     "OpDef",
-    "ProcessCtx",
     "RecoverableBst",
     "RecoverableList",
     "SimRuntime",

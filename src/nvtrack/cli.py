@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 
 from . import harness
 from .bench import BenchConfig, ConfigError, emit_results, run_benchmark
+from .runtime import StepBudgetExceeded
 
 
 def _bench_parser(sub) -> None:
@@ -119,6 +120,13 @@ def cmd_verify(args) -> int:
         args.structure, args.pids, args.ops_per_pid, args.seed)
     # the flush-annotated list exists to survive volatile caches; verify it there
     cache = "volatile" if args.structure == "list-flush" else "durable"
+    try:           # a set-up that cannot finish would fail every run alike
+        harness.prepared_runtime(adapter, args.pids, setup, cache=cache,
+                                 step_budget=args.budget)
+    except StepBudgetExceeded as exc:
+        print(f"error: {exc} needs more than --budget {args.budget} steps",
+              file=sys.stderr)
+        return 2
     report = harness.detectability_sweep(
         adapter, workload, setup=setup, model_initial=initial,
         max_crashes=args.max_crashes, seed=args.seed,

@@ -48,7 +48,7 @@ from .checker import (
     check_strict_recoverability,
     op_shape,
 )
-from .runtime import OpDef, SimRuntime, UNSET
+from .runtime import OpDef, SimRuntime, StepBudgetExceeded, UNSET
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +66,15 @@ class StructureAdapter:
 
 def _timed_exchange_call(obj, pid, value):
     m = obj.m
-    m.write(pid, m.ctx(pid).rd, UNSET)
-    m.write(pid, m.ctx(pid).cp, 1)
+    m.write(pid, m.rd[pid], UNSET)
+    m.write(pid, m.cp[pid], 1)
     return obj.exchange(pid, value, m.default_exchange_wait)
 
 
 def _timed_exchange_recover(obj, pid, value):
     m = obj.m
-    rec = m.read(pid, m.ctx(pid).rd)
-    if m.read(pid, m.ctx(pid).cp) == 0 or rec is UNSET:
+    rec = m.read(pid, m.rd[pid])
+    if m.read(pid, m.cp[pid]) == 0 or rec is UNSET:
         m.invoke_reset(pid)
         return _timed_exchange_call(obj, pid, value)
     res = obj.recover(pid, rec)
@@ -199,15 +199,20 @@ class RunOutcome:
     error: str = ""          # traceback of an exception the run raised
 
 
-def _prepared_runtime(adapter: StructureAdapter, nprocs: int, setup: Sequence,
-                      **rt_kwargs) -> tuple:
-    """A fresh runtime with the structure built and ``setup`` run unrecorded."""
+def prepared_runtime(adapter: StructureAdapter, nprocs: int, setup: Sequence,
+                     **rt_kwargs) -> tuple:
+    """A fresh runtime with the structure built and ``setup`` run unrecorded.
+    A set-up operation that exhausts its step budget raises
+    ``StepBudgetExceeded`` naming it."""
     rt = SimRuntime(nprocs, **rt_kwargs)
     obj = rt.bind(adapter.make(rt))
     if setup:
         rt.record(False)
         for name, args in setup:
-            rt.invoke(0, adapter.ops[name], args)
+            try:
+                rt.invoke(0, adapter.ops[name], args)
+            except StepBudgetExceeded:
+                raise StepBudgetExceeded(f"set-up operation {name}{args}") from None
         rt.record(True)
     return rt, obj
 
@@ -216,7 +221,7 @@ def _started_runtime(adapter: StructureAdapter, workload: dict, setup: Sequence,
                      **rt_kwargs) -> tuple:
     """A prepared runtime with one process per pid of ``workload`` started."""
     nprocs = max(workload) + 1 if workload else 1
-    rt, obj = _prepared_runtime(adapter, nprocs, setup, **rt_kwargs)
+    rt, obj = prepared_runtime(adapter, nprocs, setup, **rt_kwargs)
     rt.start_workers({pid: [(adapter.ops[name], args) for name, args in ops]
                       for pid, ops in workload.items()})
     return rt, obj
@@ -311,8 +316,8 @@ def run_direct(adapter: StructureAdapter, ops: Sequence, *, setup: Sequence = ()
     """Single-process run on the calling thread, with planned crash steps.
 
     An exception raised inside an operation or recovery propagates."""
-    rt, obj = _prepared_runtime(adapter, 1, setup, cache=cache, policy=policy,
-                                seed=seed, step_budget=step_budget, trace=trace)
+    rt, obj = prepared_runtime(adapter, 1, setup, cache=cache, policy=policy,
+                               seed=seed, step_budget=step_budget, trace=trace)
     if on_crash is not None:
         rt.on_crash = lambda: on_crash(obj, rt)
     base = rt.steps               # crash indices are relative to the workload

@@ -256,13 +256,13 @@ class RecoverableBst(BaselineBst):
 
     def insert(self, p, k) -> bool:
         m = self.m
-        m.write(p, m.ctx(p).rd, UNSET)
-        m.write(p, m.ctx(p).cp, 1)
+        m.write(p, m.rd[p], UNSET)
+        m.write(p, m.cp[p], 1)
         new_leaf = Leaf(k)
         while True:
             _, par, l, pu, _ = self.search(p, k)
             if l.key == k:
-                m.write(p, m.ctx(p).rd,
+                m.write(p, m.rd[p],
                         InsertInfo(m, None, None, None, result=False))
                 return False
             if pu.state != CLEAN:
@@ -272,7 +272,7 @@ class RecoverableBst(BaselineBst):
                 lo, hi = (new_leaf, sibling) if k < l.key else (sibling, new_leaf)
                 new_internal = Internal(m, max(k, l.key), lo, hi)
                 op = InsertInfo(m, par, l, new_internal)
-                m.write(p, m.ctx(p).rd, op)
+                m.write(p, m.rd[p], op)
                 prev = m.cas_fetch(p, par.update, pu, UpdateWord(IFLAG, op))
                 if prev == pu:
                     self.help_insert(p, op)
@@ -281,8 +281,8 @@ class RecoverableBst(BaselineBst):
 
     def insert_recover(self, p, k) -> bool:
         m = self.m
-        op = m.read(p, m.ctx(p).rd)
-        if m.read(p, m.ctx(p).cp) == 0 or op is UNSET:
+        op = m.read(p, m.rd[p])
+        if m.read(p, m.cp[p]) == 0 or op is UNSET:
             return self._reinvoke(p, self.insert, k)
         if m.read(p, op.result) is False:
             return False
@@ -295,12 +295,12 @@ class RecoverableBst(BaselineBst):
 
     def delete(self, p, k) -> bool:
         m = self.m
-        m.write(p, m.ctx(p).rd, UNSET)
-        m.write(p, m.ctx(p).cp, 1)
+        m.write(p, m.rd[p], UNSET)
+        m.write(p, m.cp[p], 1)
         while True:
             gp, par, l, pu, gpu = self.search(p, k)
             if l.key != k:
-                m.write(p, m.ctx(p).rd,
+                m.write(p, m.rd[p],
                         DeleteInfo(m, None, None, None, None, result=False))
                 return False
             if gpu.state != CLEAN:
@@ -309,7 +309,7 @@ class RecoverableBst(BaselineBst):
                 self.help(p, pu)
             else:
                 op = DeleteInfo(m, gp, par, l, pu)
-                m.write(p, m.ctx(p).rd, op)
+                m.write(p, m.rd[p], op)
                 prev = m.cas_fetch(p, gp.update, gpu, UpdateWord(DFLAG, op))
                 if prev == gpu:
                     if self.help_delete(p, op):
@@ -319,8 +319,8 @@ class RecoverableBst(BaselineBst):
 
     def delete_recover(self, p, k) -> bool:
         m = self.m
-        op = m.read(p, m.ctx(p).rd)
-        if m.read(p, m.ctx(p).cp) == 0 or op is UNSET:
+        op = m.read(p, m.rd[p])
+        if m.read(p, m.cp[p]) == 0 or op is UNSET:
             return self._reinvoke(p, self.delete, k)
         if m.read(p, op.result) is False:
             return False

@@ -60,7 +60,7 @@ class TimedExchanger:
         m = self.m
         deadline = m.now() + timeout
         myop = ExchangeInfo(m, EX_WAITING, value, slot=self)
-        m.write(p, m.ctx(p).rd, myop)
+        m.write(p, m.rd[p], myop)
         return self._collide(p, myop, deadline)
 
     def _collide(self, p, myop: ExchangeInfo, deadline) -> Any:
@@ -151,15 +151,15 @@ class Exchanger(TimedExchanger):
     def exchange(self, p, value) -> Any:
         m = self.m
         myop = ExchangeInfo(m, EX_WAITING, value)
-        m.write(p, m.ctx(p).rd, myop)
-        m.write(p, m.ctx(p).cp, 1)
+        m.write(p, m.rd[p], myop)
+        m.write(p, m.cp[p], 1)
         return self._collide(p, myop, math.inf)
 
     def exchange_recover(self, p, value) -> Any:
         m = self.m
-        myop = m.read(p, m.ctx(p).rd)
+        myop = m.read(p, m.rd[p])
         yourop = m.read(p, self.slot)
-        if m.read(p, m.ctx(p).cp) == 0:
+        if m.read(p, m.cp[p]) == 0:
             return self._reinvoke(p, value)
         state = m.read(p, myop.state)
         if state == EX_WAITING:

@@ -214,10 +214,10 @@ class RecoverableList(BaselineList):
         m = self.m
         newnd = ListNode(m, key, None, flushable=self._fp)
         info = ListInfo(m, newnd)
-        m.write(p, m.ctx(p).rd, info)
-        self._persist(p, m.ctx(p).rd)
-        m.write(p, m.ctx(p).cp, 1)
-        self._persist(p, m.ctx(p).cp)
+        m.write(p, m.rd[p], info)
+        self._persist(p, m.rd[p])
+        m.write(p, m.cp[p], 1)
+        self._persist(p, m.cp[p])
         while True:
             pred, curr = self.search(p, key)
             if curr.key == key:
@@ -242,9 +242,9 @@ class RecoverableList(BaselineList):
 
     def insert_recover(self, p, key) -> bool:
         m = self.m
-        if m.read(p, m.ctx(p).cp) == 0:
+        if m.read(p, m.cp[p]) == 0:
             return self._reinvoke(p, self.insert, key)
-        info = m.read(p, m.ctx(p).rd)
+        info = m.read(p, m.rd[p])
         res = m.read(p, info.result)
         if res is not UNSET:
             return res
@@ -259,10 +259,10 @@ class RecoverableList(BaselineList):
     def delete(self, p, key) -> bool:
         m = self.m
         info = ListInfo(m, None)
-        m.write(p, m.ctx(p).rd, info)
-        self._persist(p, m.ctx(p).rd)
-        m.write(p, m.ctx(p).cp, 1)
-        self._persist(p, m.ctx(p).cp)
+        m.write(p, m.rd[p], info)
+        self._persist(p, m.rd[p])
+        m.write(p, m.cp[p], 1)
+        self._persist(p, m.cp[p])
         pred, curr = self.search(p, key)
         if curr.key != key:
             m.write(p, info.result, False)
@@ -286,9 +286,9 @@ class RecoverableList(BaselineList):
 
     def delete_recover(self, p, key) -> bool:
         m = self.m
-        if m.read(p, m.ctx(p).cp) == 0:
+        if m.read(p, m.cp[p]) == 0:
             return self._reinvoke(p, self.delete, key)
-        info = m.read(p, m.ctx(p).rd)
+        info = m.read(p, m.rd[p])
         res = m.read(p, info.result)
         if res is not UNSET:
             return res

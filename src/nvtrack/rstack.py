@@ -86,7 +86,7 @@ class EliminationStack:
         oldtop = m.read(p, self.top)
         nd = m.read(p, data.nd)
         m.write(p, nd.next, oldtop)
-        m.write(p, m.ctx(p).rd, data)
+        m.write(p, m.rd[p], data)
         if m.cas(p, self.top, oldtop, nd, note="push"):
             m.write(p, nd.pushed, True)
             m.write(p, data.result, True)
@@ -98,7 +98,7 @@ class EliminationStack:
         m = self.m
         oldtop = m.read(p, self.top)
         m.write(p, data.nd, oldtop)
-        m.write(p, m.ctx(p).rd, data)
+        m.write(p, m.rd[p], data)
         if oldtop is None:
             m.write(p, data.result, EMPTY)
             return EMPTY
@@ -129,14 +129,14 @@ class EliminationStack:
         m = self.m
         nd = StackNode(m, value)
         data = CentralInfo(m, nd)
-        m.write(p, m.ctx(p).rd, data)
-        m.write(p, m.ctx(p).cp, 1)
+        m.write(p, m.rd[p], data)
+        m.write(p, m.cp[p], 1)
         while True:
             if self.try_push(p, data):
                 return True
             other = self.visit(p, value, self._range[p], self.exchange_wait)
             if other is NULL:          # collided with a pop
-                m.write(p, m.ctx(p).rd, CentralInfo(m, None, True))
+                m.write(p, m.rd[p], CentralInfo(m, None, True))
                 self._range[p] = max(1, self._range[p] - 1)
                 return True
             if other is TIMEOUT:
@@ -145,19 +145,19 @@ class EliminationStack:
 
     def push_recover(self, p, value) -> bool:
         m = self.m
-        data = m.read(p, m.ctx(p).rd)
-        if m.read(p, m.ctx(p).cp) == 0:
+        data = m.read(p, m.rd[p])
+        if m.read(p, m.cp[p]) == 0:
             return self._reinvoke(p, self.push, value)
         if isinstance(data, ExchangeInfo):
             if data.slot.recover(p, data) is NULL:
-                m.write(p, m.ctx(p).rd, CentralInfo(m, None, True))
+                m.write(p, m.rd[p], CentralInfo(m, None, True))
         else:
             nd = m.read(p, data.nd)
             if m.read(p, data.result) is UNSET:
                 if self.stack_search(p, nd) or m.read(p, nd.pushed):
                     m.write(p, nd.pushed, True)
                     m.write(p, data.result, True)
-        data = m.read(p, m.ctx(p).rd)
+        data = m.read(p, m.rd[p])
         if m.read(p, data.result) is True:
             return True
         return self._reinvoke(p, self.push, value)
@@ -165,8 +165,8 @@ class EliminationStack:
     def pop(self, p) -> Any:
         m = self.m
         data = CentralInfo(m, m.read(p, self.top))
-        m.write(p, m.ctx(p).rd, data)
-        m.write(p, m.ctx(p).cp, 1)
+        m.write(p, m.rd[p], data)
+        m.write(p, m.cp[p], 1)
         while True:
             response = self.try_pop(p, data)
             if response is not RETRY:
@@ -175,19 +175,19 @@ class EliminationStack:
             if other is TIMEOUT:
                 self._range[p] = min(self.slots, self._range[p] + 1)
             elif other is not NULL:    # collided with a push
-                m.write(p, m.ctx(p).rd, CentralInfo(m, None, other))
+                m.write(p, m.rd[p], CentralInfo(m, None, other))
                 self._range[p] = max(1, self._range[p] - 1)
                 return other
 
     def pop_recover(self, p) -> Any:
         m = self.m
-        data = m.read(p, m.ctx(p).rd)
-        if m.read(p, m.ctx(p).cp) == 0:
+        data = m.read(p, m.rd[p])
+        if m.read(p, m.cp[p]) == 0:
             return self._reinvoke(p, self.pop)
         if isinstance(data, ExchangeInfo):
             temp = data.slot.recover(p, data)
             if temp is not NULL and temp is not UNSET:
-                m.write(p, m.ctx(p).rd, CentralInfo(m, None, temp))
+                m.write(p, m.rd[p], CentralInfo(m, None, temp))
         else:
             nd = m.read(p, data.nd)
             if m.read(p, data.result) is UNSET:
@@ -197,7 +197,7 @@ class EliminationStack:
                     m.cas(p, nd.popper, m.nprocs, p, note="popper")
                     if m.read(p, nd.popper) == p:
                         m.write(p, data.result, nd.value)
-        data = m.read(p, m.ctx(p).rd)
+        data = m.read(p, m.rd[p])
         res = m.read(p, data.result)
         # NULL means the exchange paired two pops: no effect, run again.
         if res is not UNSET and res is not NULL:

@@ -2,11 +2,12 @@
 
 Every structure in this library is written against one small memory API:
 ``read`` / ``write`` / ``cas`` / ``cas_fetch`` / ``flush`` over :class:`Cell`
-objects, plus per-process durable private state (checkpoint ``cp`` and
-recovery-data reference ``rd``).  Two backends implement the API:
+objects, plus two durable cells per process: its checkpoint ``m.cp[pid]``
+and its recovery-data reference ``m.rd[pid]`` (the paper's CP_p and RD_p).
+Two backends implement the API:
 
 * :class:`NativeRuntime` -- plain objects and real threads, no crash
-  injection; used by the benchmark CLI.
+  injection, every CAS under one lock; used by the benchmark CLI.
 * :class:`SimRuntime` -- a cooperative single-stepping backend where every
   shared-cell access is a scheduling point.  Each logical process is a
   generator (see ``derive``) run on the caller's thread; a deterministic
@@ -107,17 +108,6 @@ class InfoRecord:
     __slots__ = ()
 
 
-class ProcessCtx:
-    """Per-process non-volatile privates: checkpoint and recovery data."""
-
-    __slots__ = ("pid", "cp", "rd")
-
-    def __init__(self, pid: int) -> None:
-        self.pid = pid
-        self.cp = Cell(0, True)
-        self.rd = Cell(UNSET, True)
-
-
 # ---------------------------------------------------------------------------
 # Operation descriptors and history events
 # ---------------------------------------------------------------------------
@@ -212,27 +202,23 @@ class CrashPolicy:
 # Native backend
 # ---------------------------------------------------------------------------
 
-_N_CAS_LOCKS = 64
-
-
 class NativeRuntime:
-    """Real-thread backend: plain reads/writes, lock-striped CAS, no crashes.
+    """Real-thread backend: plain reads/writes, CAS under one lock, no crashes.
 
-    ``flush`` emulates a cache-line writeback by copying the cached value to
-    the persisted slot.
+    Under the GIL more locks buy no parallelism, so every CAS takes the same
+    one.  ``flush`` emulates a cache-line writeback by copying the cached
+    value to the persisted slot.
     """
 
     kind = "native"
 
     def __init__(self, nprocs: int, *, seed: int = 0) -> None:
         self.nprocs = nprocs
-        self._ctxs = [ProcessCtx(i) for i in range(nprocs)]
-        self._cas_locks = [threading.Lock() for _ in range(_N_CAS_LOCKS)]
+        self.cp = [Cell(0, True) for _ in range(nprocs)]
+        self.rd = [Cell(UNSET, True) for _ in range(nprocs)]
+        self._lock = threading.Lock()
 
     # -- memory API ---------------------------------------------------------
-
-    def ctx(self, pid: int) -> ProcessCtx:
-        return self._ctxs[pid]
 
     def new_cell(self, value: Any) -> Cell:
         return Cell(value, True)
@@ -245,14 +231,17 @@ class NativeRuntime:
 
     def cas(self, pid: int, cell: Cell, expected: Any, new: Any,
             note: Optional[str] = None) -> bool:
-        with self._cas_locks[id(cell) % _N_CAS_LOCKS]:
+        # ``with``, not acquire()/release(): an eval-breaker check follows the
+        # acquire() call, so a thread could be switched out holding the lock,
+        # which collapsed 8-thread throughput in a trial.
+        with self._lock:
             if cell.v == expected:
                 cell.v = new
                 return True
             return False
 
     def cas_fetch(self, pid: int, cell: Cell, expected: Any, new: Any) -> Any:
-        with self._cas_locks[id(cell) % _N_CAS_LOCKS]:
+        with self._lock:
             old = cell.v
             if old == expected:
                 cell.v = new
@@ -262,9 +251,8 @@ class NativeRuntime:
         cell.p = cell.v
 
     def invoke_reset(self, pid: int) -> None:
-        ctx = self._ctxs[pid]
-        ctx.cp.v = 0
-        ctx.cp.p = 0
+        cp = self.cp[pid]
+        cp.v = cp.p = 0
 
     def now(self) -> int:
         return time.monotonic_ns()
@@ -331,9 +319,9 @@ class SimRuntime:
         self.history: list = []
         self.trace: Optional[list] = [] if trace else None
         self._record = True
-        self._ctxs = [ProcessCtx(i) for i in range(nprocs)]
-        # every cell of this runtime's memory
-        self._cells = [c for ctx in self._ctxs for c in (ctx.cp, ctx.rd)]
+        self.cp = [Cell(0, True) for _ in range(nprocs)]
+        self.rd = [Cell(UNSET, True) for _ in range(nprocs)]
+        self._cells = self.cp + self.rd        # every cell of its memory
         self._vcells: list[Cell] = []
         self._durable = cache == "durable"     # every new cell's mode
         self._seed = seed
@@ -355,9 +343,6 @@ class SimRuntime:
     def bind(self, obj: Any) -> Any:
         self.obj = obj
         return obj
-
-    def ctx(self, pid: int) -> ProcessCtx:
-        return self._ctxs[pid]
 
     def now(self) -> int:
         return self.steps
@@ -442,9 +427,8 @@ class SimRuntime:
         # The runtime resets the checkpoint atomically with invocation; it is
         # not itself a crash point (a crash before the first real shared
         # access then re-invokes cleanly through CP == 0).
-        ctx = self._ctxs[pid]
-        ctx.cp.v = 0
-        ctx.cp.p = 0
+        cp = self.cp[pid]
+        cp.v = cp.p = 0
 
     # -- crash semantics ----------------------------------------------------
 
@@ -539,7 +523,7 @@ class SimRuntime:
             self.history.append(event)
 
     def _persisted_result(self, pid: int) -> Any:
-        rd = self._ctxs[pid].rd.p
+        rd = self.rd[pid].p
         if isinstance(rd, InfoRecord):
             return rd.result.p
         return UNSET

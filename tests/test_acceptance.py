@@ -321,8 +321,8 @@ class _LossyList(RecoverableList):
         m = self.m
         newnd = ListNode(m, key, None, flushable=False)
         info = ListInfo(m, newnd)
-        m.write(p, m.ctx(p).rd, info)
-        m.write(p, m.ctx(p).cp, 1)
+        m.write(p, m.rd[p], info)
+        m.write(p, m.cp[p], 1)
         while True:
             pred, curr = self.search(p, key)
             if curr.key == key:

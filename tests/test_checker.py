@@ -201,8 +201,8 @@ class _LossyList(RecoverableList):
         from nvtrack.runtime import MarkedRef
         newnd = ListNode(m, key, None, flushable=False)
         info = ListInfo(m, newnd)
-        m.write(p, m.ctx(p).rd, info)
-        m.write(p, m.ctx(p).cp, 1)
+        m.write(p, m.rd[p], info)
+        m.write(p, m.cp[p], 1)
         while True:
             pred, curr = self.search(p, key)
             if curr.key == key:
@@ -232,9 +232,9 @@ class _BrokenArbitrationList(RecoverableList):
     # without competing for the deleter field
     def delete_recover(self, p, key):
         m = self.m
-        if m.read(p, m.ctx(p).cp) == 0:
+        if m.read(p, m.cp[p]) == 0:
             return self._reinvoke(p, self.delete, key)
-        info = m.read(p, m.ctx(p).rd)
+        info = m.read(p, m.rd[p])
         res = m.read(p, info.result)
         if res is not UNSET:
             return res

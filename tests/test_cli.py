@@ -1,7 +1,12 @@
 """CLI surface: bench and verify subcommands."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import nvtrack
 from nvtrack.bench import BenchConfig
 from nvtrack.cli import main
 
@@ -95,6 +100,38 @@ def test_verify_fails_when_no_history_is_checked(capsys):
     assert rc == 1
     assert out.startswith("FAIL exchanger.detectability: ")
     assert " 0 ok, " in out
+
+
+def test_verify_rejects_a_budget_the_setup_cannot_meet(capsys):
+    rc = main(["verify", "--structure", "list", "--pids", "1",
+               "--ops-per-pid", "1", "--budget", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: set-up operation insert(5,) ")
+    assert "--budget 1" in captured.err
+
+
+def test_verify_counts_a_workload_op_out_of_budget_as_inconclusive(capsys):
+    # 8 steps let the set-up insert finish, but no operation of the workload
+    rc = main(["verify", "--structure", "list", "--pids", "1",
+               "--ops-per-pid", "1", "--budget", "8"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("FAIL list.detectability: 5 runs ")
+    assert " 0 ok, 5 inconclusive, 0 linearizability violations" in out
+
+
+def test_python_dash_m_nvtrack_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nvtrack.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nvtrack", "verify", "--structure", "list",
+         "--pids", "1", "--ops-per-pid", "1", "--budget", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "set-up operation insert(5,)" in proc.stderr
 
 
 @pytest.mark.parametrize("pids,ops", [(1, 1), (1, 2), (3, 1), (3, 3)])

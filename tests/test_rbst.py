@@ -1,5 +1,7 @@
 """Leaf-oriented non-blocking BST: shape, helping, recovery."""
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from nvtrack.harness import (
@@ -14,7 +16,8 @@ from nvtrack.harness import (
 )
 from nvtrack.checker import SetModel, check_nrl
 from nvtrack.rbst import INF1, INF2, Internal, InsertInfo, Leaf, RecoverableBst
-from nvtrack.runtime import CLEAN, DFLAG, IFLAG, MARK, SimRuntime, UNSET, UpdateWord
+from nvtrack.runtime import (
+    CLEAN, DFLAG, IFLAG, MARK, NativeRuntime, SimRuntime, UNSET, UpdateWord)
 
 BST = STRUCTURES["bst"]
 
@@ -54,7 +57,7 @@ def test_duplicate_insert_persists_false_record():
     rt, t = fresh()
     t.insert(0, 5)
     assert t.insert(0, 5) is False
-    rec = rt.ctx(0).rd.v
+    rec = rt.rd[0].v
     assert rec.result.p is False and rec.p is None
 
 
@@ -204,3 +207,32 @@ def test_matches_set_oracle_sequentially(ops):
             assert t.contains(0, k) == (k in model)
     assert t.snapshot() == model
     assert t.well_formed()
+
+
+def test_native_threads_leave_the_keys_the_responses_imply(run_threads):
+    rt = NativeRuntime(4)
+    t = RecoverableBst(rt)
+    keys = range(1, 17)
+    for k in keys[::2]:
+        t.insert(0, k)
+    # per key: successful inserts minus successful deletes, per thread
+    net = [dict.fromkeys(keys, 0) for _ in range(4)]
+
+    def work(pid):
+        rng = random.Random(pid)
+        for _ in range(1_000):
+            rt.invoke_reset(pid)
+            k, r = rng.choice(keys), rng.random()
+            if r < 0.2:
+                t.contains(pid, k)
+            elif r < 0.6:
+                net[pid][k] += t.insert(pid, k)
+            else:
+                net[pid][k] -= t.delete(pid, k)
+
+    run_threads(4, work)
+    final = {k: (k in keys[::2]) + sum(n[k] for n in net) for k in keys}
+    assert set(final.values()) <= {0, 1}
+    assert t.snapshot() == {k for k, n in final.items() if n}
+    assert t.well_formed()
+    assert t.node_count() == 2 * len(t.snapshot()) + 3

@@ -53,7 +53,7 @@ def test_duplicate_insert_persists_false_response():
     rt, lst = fresh()
     lst.insert(0, 5)
     assert lst.insert(0, 5) is False
-    info = rt.ctx(0).rd.v
+    info = rt.rd[0].v
     assert info.result.p is False
 
 
@@ -91,7 +91,7 @@ def test_deleter_recorded_for_winner():
     lst.insert(0, 5)
     assert lst.delete(2, 5) is True
     # the deleted node is unreachable now; grab it from pid 2's record
-    info = rt.ctx(2).rd.v
+    info = rt.rd[2].v
     assert info.nd.v.deleter.v == 2
 
 

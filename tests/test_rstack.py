@@ -1,6 +1,7 @@
 """Elimination stack: LIFO behavior, arbitration, elimination, recovery."""
 
 import dataclasses
+import random
 
 from nvtrack.cli import default_workload
 from nvtrack.harness import (
@@ -16,7 +17,8 @@ from nvtrack.harness import (
 from nvtrack.checker import StackModel, check_nrl
 from nvtrack.rstack import CentralInfo, EliminationStack, StackNode
 from nvtrack.rexchanger import ExchangeInfo
-from nvtrack.runtime import EMPTY, NULL, OpDef, SimRuntime, TIMEOUT, UNSET
+from nvtrack.runtime import (
+    EMPTY, NULL, NativeRuntime, OpDef, SimRuntime, TIMEOUT, UNSET)
 
 STACK = STRUCTURES["stack"]
 
@@ -65,8 +67,8 @@ def test_try_push_contended_loss_leaves_no_trace_of_loser():
         m = obj.m
         nd = StackNode(m, value)
         data = CentralInfo(m, nd)
-        m.write(pid, m.ctx(pid).rd, data)
-        m.write(pid, m.ctx(pid).cp, 1)
+        m.write(pid, m.rd[pid], data)
+        m.write(pid, m.cp[pid], 1)
         return obj.try_push(pid, data)
 
     ops = {
@@ -95,8 +97,8 @@ def test_elimination_collision_pairs_push_with_pop():
     # slot 0 must pair, leaving the central stack untouched
     def visit_op(obj, pid, value):
         m = obj.m
-        m.write(pid, m.ctx(pid).rd, CentralInfo(m, None))
-        m.write(pid, m.ctx(pid).cp, 1)
+        m.write(pid, m.rd[pid], CentralInfo(m, None))
+        m.write(pid, m.cp[pid], 1)
         return obj.visit(pid, value, 1, 64)
 
     ops = {"visit": OpDef("visit", visit_op, visit_op)}
@@ -186,8 +188,8 @@ def _mid_visit_state(value):
     rt = SimRuntime(2)
     stk = rt.bind(EliminationStack(rt, slots=2, exchange_wait=16))
     myop = ExchangeInfo(rt, EX_WAITING, value, slot=stk.exchangers[0])
-    rt.write(0, rt.ctx(0).cp, 1)
-    rt.write(0, rt.ctx(0).rd, myop)
+    rt.write(0, rt.cp[0], 1)
+    rt.write(0, rt.rd[0], myop)
     return rt, stk, myop
 
 
@@ -196,7 +198,7 @@ def test_push_recover_returns_true_after_completed_pop_collision():
     rt.write(1, myop.result, NULL)     # a pop's value was exchanged in
     assert stk.push_recover(0, 10) is True
     assert stk.snapshot() == []        # elimination left the stack untouched
-    info = rt.ctx(0).rd.v
+    info = rt.rd[0].v
     assert isinstance(info, CentralInfo) and info.result.p is True
 
 
@@ -212,7 +214,7 @@ def test_pop_recover_returns_value_after_completed_push_collision():
     rt, stk, myop = _mid_visit_state(NULL)
     rt.write(1, myop.result, 42)       # a push's value was exchanged in
     assert stk.pop_recover(0) == 42
-    info = rt.ctx(0).rd.v
+    info = rt.rd[0].v
     assert isinstance(info, CentralInfo) and info.result.p == 42
 
 
@@ -249,7 +251,7 @@ def test_three_process_sweep_recovers_from_paired_exchange_records():
 
     def watching(recover):
         def wrapped(obj, pid, *args):
-            rec = obj.m.ctx(pid).rd.v
+            rec = obj.m.rd[pid].v
             if isinstance(rec, ExchangeInfo) and (
                     rec.partner.v is not None or rec.result.v is not UNSET):
                 paired.append(pid)
@@ -265,3 +267,29 @@ def test_three_process_sweep_recovers_from_paired_exchange_records():
                                   seed=seed, samples=40)
         assert rep.passed, rep.summary()
     assert paired
+
+
+def test_native_threads_leave_pushes_minus_pops_on_the_stack(run_threads):
+    rt = NativeRuntime(4)
+    stk = EliminationStack(rt, slots=2, seed=3)
+    for v in range(-10, 0):
+        stk.push(0, v)
+    pushed, popped = [[] for _ in range(4)], [[] for _ in range(4)]
+
+    def work(pid):
+        rng = random.Random(pid)
+        for i in range(1_000):
+            rt.invoke_reset(pid)
+            if rng.random() < 0.5:
+                assert stk.push(pid, 10_000 * pid + i) is True
+                pushed[pid].append(10_000 * pid + i)
+            else:
+                popped[pid].append(stk.pop(pid))
+
+    run_threads(4, work)
+    got = [v for vs in popped for v in vs if v is not EMPTY]
+    assert len(got) == len(set(got))             # nothing popped twice
+    left = set(range(-10, 0)).union(*pushed)
+    assert left >= set(got)                      # nothing popped unpushed
+    assert sorted(stk.snapshot()) == sorted(left - set(got))
+    assert stk.quiescent_slots()

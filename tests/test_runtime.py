@@ -8,6 +8,7 @@ from nvtrack.runtime import (
     CrashPolicy,
     DispatchError,
     MarkedRef,
+    NativeRuntime,
     OpDef,
     RecoverBegin,
     Invoke,
@@ -131,12 +132,11 @@ def test_adversarial_callback_policy():
 
 def test_cp_and_rd_survive_crash():
     rt = SimRuntime(1, cache="volatile")
-    ctx = rt.ctx(0)
-    rt.write(0, ctx.cp, 1)
-    rt.write(0, ctx.rd, "marker")
+    rt.write(0, rt.cp[0], 1)
+    rt.write(0, rt.rd[0], "marker")
     rt.crash()
-    assert rt.read(0, ctx.cp) == 1
-    assert rt.read(0, ctx.rd) == "marker"
+    assert rt.read(0, rt.cp[0]) == 1
+    assert rt.read(0, rt.rd[0]) == "marker"
 
 
 def _noop_op():
@@ -149,9 +149,9 @@ def _noop_op():
 def test_invoke_resets_checkpoint_even_if_left_set():
     rt = SimRuntime(1)
     rt.bind(None)
-    rt.write(0, rt.ctx(0).cp, 1)
+    rt.write(0, rt.cp[0], 1)
     rt.invoke(0, _noop_op())
-    assert rt.ctx(0).cp.v == 0
+    assert rt.cp[0].v == 0
 
 
 def test_invoke_records_invocation_event():
@@ -234,8 +234,8 @@ def test_nested_reinvocation_resets_checkpoint_again():
     seen = []
 
     def call(obj, pid):
-        seen.append(rt.ctx(pid).cp.v)
-        rt.write(pid, rt.ctx(pid).cp, 1)
+        seen.append(rt.cp[pid].v)
+        rt.write(pid, rt.cp[pid], 1)
         rt.read(pid, cell)
         rt.read(pid, cell)
         return True
@@ -292,3 +292,44 @@ def test_composite_cas_is_failure_atomic(attempts):
         if rt.cas(0, cell, cell.v, new):
             written.add(new)
         assert cell.v in written
+
+
+def test_native_cas_fetch_returns_old_value_and_swaps_only_on_match():
+    rt = NativeRuntime(1)
+    cell = rt.new_cell(MarkedRef("a", False))
+    assert rt.cas_fetch(0, cell, MarkedRef("b", False), "x") == MarkedRef("a", False)
+    assert cell.v == MarkedRef("a", False)
+    assert rt.cas_fetch(0, cell, MarkedRef("a", False), "x") == MarkedRef("a", False)
+    assert cell.v == "x"
+
+
+class _Count:
+    """A counter value compared by Python code, which lets the interpreter
+    switch threads between a CAS's compare and its store."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        self.n = n
+
+    def __eq__(self, other):
+        return self.n == other.n
+
+
+def test_native_cas_under_threads_loses_no_increment(run_threads):
+    rt = NativeRuntime(8)
+    cell = rt.new_cell(_Count(0))
+    wins = 2_000
+
+    def work(pid):
+        won = 0
+        while won < wins:
+            old = rt.read(pid, cell)
+            new = _Count(old.n + 1)
+            if pid % 2:
+                won += rt.cas_fetch(pid, cell, old, new) is old
+            else:
+                won += rt.cas(pid, cell, old, new)
+
+    run_threads(8, work)
+    assert cell.v.n == 8 * wins
