@@ -14,8 +14,14 @@ unchanged; it adds per-process tracking to the updates:
 * responses are written to the record's ``result`` field before returning.
 
 ``flush_protocol=True`` adds the write-back ordering needed under a volatile
-cache: its own traversals persist the inbound link and a per-node
-``flushed`` flag before moving past a node, and every checkpoint/result/
+cache, as in link-and-persist (David et al., USENIX ATC 2018): a link word
+carries a third bit, set by storing it as a :class:`PersistedRef`, meaning
+its ``(ref, marked)`` value was flushed before the bit was set.  A traversal
+that reads a word without the bit flushes the word's cell and then sets the
+bit with a CAS; every CAS that changes a link stores a plain ``MarkedRef``,
+which clears it.  So a traversal reads one cell per hop and flushes only the
+links nobody has persisted yet.  Losing the bit (a failed flag CAS) costs
+one redundant flush later, never durability.  Every checkpoint/result/
 deleter write is flushed immediately.
 """
 
@@ -109,14 +115,21 @@ class BaselineList:
         return out
 
 
-class ListNode:
-    __slots__ = ("key", "next", "deleter", "flushed")
+class PersistedRef(MarkedRef):
+    """A link word whose ``(ref, marked)`` value was flushed before it was
+    stored in this flagged form.  It compares equal to the ``MarkedRef`` of
+    the same value, so a CAS expecting the plain word matches it."""
 
-    def __init__(self, m, key, succ, *, flushable: bool, flushed: bool = False):
+    __slots__ = ()
+
+
+class ListNode:
+    __slots__ = ("key", "next", "deleter")
+
+    def __init__(self, m, key, succ, word=MarkedRef):
         self.key = key
-        self.next = m.new_cell(MarkedRef(succ, False))
+        self.next = m.new_cell(word(succ, False))
         self.deleter = m.new_cell(m.nprocs)   # nprocs encodes "nobody"
-        self.flushed = m.new_cell(flushed) if flushable else None
 
 
 class ListInfo(InfoRecord):
@@ -133,25 +146,22 @@ class RecoverableList(BaselineList):
     def __init__(self, m, *, flush_protocol: bool = False):
         self.m = m
         self._fp = flush_protocol
-        if flush_protocol:
-            head = ListNode(m, KEY_MIN, None, flushable=True, flushed=True)
-            self._flush_node(None, head)
-            tail = ListNode(m, KEY_MAX, None, flushable=True, flushed=True)
-            m.write(None, head.next, MarkedRef(tail, False))
-            self._flush_node(None, tail)
-            m.flush(None, head.next)
-            self.head, self.tail = head, tail
-        else:
-            tail = ListNode(m, KEY_MAX, None, flushable=False)
-            head = ListNode(m, KEY_MIN, tail, flushable=False)
-            self.head, self.tail = head, tail
+        self.tail = ListNode(m, KEY_MAX, None)
+        # allocation is persistent, so the flush protocol's head link is
+        # allocated flagged
+        self.head = ListNode(m, KEY_MIN, self.tail,
+                             PersistedRef if flush_protocol else MarkedRef)
 
-    def _flush_node(self, p, nd: ListNode) -> None:
+    def _flag(self, p, cell, word) -> None:
+        """Flush ``cell``, read as holding ``word``, then flag that word in
+        it.  A failed flag CAS leaves the word unflagged: a later reader
+        flushes it again.  If the cell went from ``word`` to a new node's
+        link and back between the read and the CAS, the flush may have
+        persisted that link instead; the new node's persisted ``next``
+        still leads to ``word``'s node, so the flag's promise holds."""
         m = self.m
-        m.flush(p, nd.next)
-        m.flush(p, nd.deleter)
-        if nd.flushed is not None:
-            m.flush(p, nd.flushed)
+        m.flush(p, cell)
+        m.cas(p, cell, word, PersistedRef(*word), "flag")
 
     def _persist(self, p, cell) -> None:
         """Flush ``cell`` under the flush protocol; a no-op otherwise."""
@@ -169,40 +179,41 @@ class RecoverableList(BaselineList):
             return BaselineList.find(self, p, key)
         m = self.m
         curr = self.head
-        while curr.key < key:
-            succ = m.read(p, curr.next).ref
-            if not m.read(p, succ.flushed):
-                m.flush(p, curr.next)
-                m.write(p, succ.flushed, True)
-                m.flush(p, succ.flushed)
-            curr = succ
-        return curr.key == key and not m.read(p, curr.next).marked
+        while curr.key <= key:     # the baseline's reads, no more
+            word = m.read(p, curr.next)
+            if type(word) is not PersistedRef:
+                self._flag(p, curr.next, word)
+            if curr.key == key:
+                return not word.marked
+            curr = word.ref
+        return False
 
     def find_recover(self, p, key) -> bool:
         return self._reinvoke(p, self.find, key)
 
     def search(self, p, key):
         """The baseline's search, or under the flush protocol the same walk
-        persisting each link it crosses and each mark before its unlink."""
+        persisting and flagging each unflagged link word it reads, so a mark
+        persists before its unlink."""
         if not self._fp:
             return BaselineList.search(self, p, key)
         m = self.m
         while True:
             pred = self.head
-            curr = m.read(p, pred.next).ref
+            word = m.read(p, pred.next)
+            if type(word) is not PersistedRef:
+                self._flag(p, pred.next, word)
+            curr = word.ref
             while True:
                 succ = m.read(p, curr.next)
+                if type(succ) is not PersistedRef:
+                    self._flag(p, curr.next, succ)
                 if succ.marked:
-                    m.flush(p, curr.next)        # the mark persists before the unlink
                     if not m.cas(p, pred.next, MarkedRef(curr, False),
                                  MarkedRef(succ.ref, False), "unlink"):
                         break                    # pred changed: restart
                     curr = succ.ref
                 else:
-                    if not m.read(p, curr.flushed):
-                        m.flush(p, pred.next)
-                        m.write(p, curr.flushed, True)
-                        m.flush(p, curr.flushed)
                     if curr.key >= key:
                         return pred, curr
                     pred = curr
@@ -212,7 +223,7 @@ class RecoverableList(BaselineList):
 
     def insert(self, p, key) -> bool:
         m = self.m
-        newnd = ListNode(m, key, None, flushable=self._fp)
+        newnd = ListNode(m, key, None)
         info = ListInfo(m, newnd)
         m.write(p, m.rd[p], info)
         self._persist(p, m.rd[p])
@@ -230,9 +241,7 @@ class RecoverableList(BaselineList):
             if m.cas(p, pred.next, MarkedRef(curr, False),
                      MarkedRef(newnd, False), note="link"):
                 if self._fp:
-                    m.flush(p, pred.next)
-                    m.write(p, newnd.flushed, True)
-                    m.flush(p, newnd.flushed)
+                    self._flag(p, pred.next, MarkedRef(newnd, False))
                 # spelled out, not via _persist: the benchmark's seeded
                 # lossy-insert mutant finds this site by its text
                 m.write(p, info.result, True)

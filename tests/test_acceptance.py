@@ -319,7 +319,7 @@ class _LossyList(RecoverableList):
         from nvtrack.rlist import ListInfo, ListNode
         from nvtrack.runtime import MarkedRef
         m = self.m
-        newnd = ListNode(m, key, None, flushable=False)
+        newnd = ListNode(m, key, None)
         info = ListInfo(m, newnd)
         m.write(p, m.rd[p], info)
         m.write(p, m.cp[p], 1)
@@ -375,7 +375,7 @@ def test_criterion_7_benchmark_ratios():
         details.append(
             f"{mix}: base={base:.3f} rec={rec:.3f} flush={flush:.3f} Mops; "
             f"rec/base={ratio:.2f} (reference: >0.95, gate 0.70), "
-            f"flush/rec={flush_ratio:.2f} (reference: ~0.71-0.78)")
+            f"flush/rec={flush_ratio:.2f} (reference: ~0.6-0.9)")
         if read_pct == 30:
             ok &= ratio >= 0.70
         ok &= flush < rec

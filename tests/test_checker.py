@@ -199,7 +199,7 @@ class _LossyList(RecoverableList):
         m = self.m
         from nvtrack.rlist import ListInfo, ListNode
         from nvtrack.runtime import MarkedRef
-        newnd = ListNode(m, key, None, flushable=False)
+        newnd = ListNode(m, key, None)
         info = ListInfo(m, newnd)
         m.write(p, m.rd[p], info)
         m.write(p, m.cp[p], 1)

@@ -35,8 +35,8 @@ from nvtrack.harness import (
 )
 
 PINNED_SHA256 = "53980c3d02b8732f5620e3dcfa26ae9542699bb9cf95edcfc9eab769964a6ff0"
-PINNED_LIST_FLUSH_SHA256 = "8b5108d819ba34d5ae1fb78af0776633862e4dc44af9cc4861cf4cbd7cd57436"
-PINNED_SWEEP_SHA256 = "852313f5265f17ba76641cc43c46413788a77b4063deb00dd6bef98037bd7925"
+PINNED_LIST_FLUSH_SHA256 = "8ee5b5cb26e5e9a502b444e4a4eff85e0b257369caf75937633b05b60aeae901"
+PINNED_SWEEP_SHA256 = "e9528c6860b93be036fa962e99c524ebf13d9093d1683dfb540f314ec482a763"
 
 THREADED = ("list", "bst", "stack", "exchanger", "exchanger-timed")
 CRASH_POINTS = 12              # seeded crash points per pattern

@@ -1,5 +1,7 @@
 """Recoverable linked-list set: sequential behavior, recovery, invariants."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,8 +17,8 @@ from nvtrack.harness import (
     write_once,
 )
 from nvtrack.checker import SetModel, check_nrl
-from nvtrack.rlist import KEY_MAX, KEY_MIN, RecoverableList
-from nvtrack.runtime import MarkedRef, SimRuntime, UNSET
+from nvtrack.rlist import KEY_MAX, KEY_MIN, PersistedRef, RecoverableList
+from nvtrack.runtime import MarkedRef, NativeRuntime, SimRuntime, UNSET
 
 LIST = STRUCTURES["list"]
 FLUSH_LIST = STRUCTURES["list-flush"]
@@ -233,9 +235,9 @@ def test_flush_init_persists_sentinels():
 
 def test_traversal_persists_unflushed_nodes_it_passes():
     # pause the inserter right after its link CAS: a concurrent reader walking
-    # past the new node must flush the inbound link and the flushed flag
+    # past the new node must flush the inbound link, then flag it with a CAS
     wl = {0: [("insert", (5,))], 1: [("find", (7,))]}
-    saw_reader_flush = False
+    saw_reader_flag = False
     for head in range(1, 14):
         quanta = ((0, head), (1, 200), (0, 200))
         out = run_schedule(FLUSH_LIST, wl, Schedule(quanta),
@@ -243,13 +245,72 @@ def test_traversal_persists_unflushed_nodes_it_passes():
                            trace=True)
         r = {(e.pid, e.op): e.value for e in out.history if hasattr(e, "value")}
         assert r[(0, "insert")] is True and r[(1, "find")] is True
-        reader_flushes = [e for e in out.rt.trace
-                          if e[0] == "flush" and e[1] == 1]
-        writes_true = [e for e in out.rt.trace
-                       if e[0] == "write" and e[1] == 1 and e[4] is True]
-        if reader_flushes and writes_true:
-            saw_reader_flush = True
-    assert saw_reader_flush
+        reader = [e for e in out.rt.trace if e[1] == 1]
+        for flush, flag in zip(reader, reader[1:]):
+            if (flush[0] == "flush" and flag[0] == "cas" and flag[6] == "flag"
+                    and flag[2] is flush[2] and flag[5]
+                    and type(flag[4]) is PersistedRef and flag[4].ref.key == 5):
+                saw_reader_flag = True
+    assert saw_reader_flag
+
+
+def test_second_find_over_unchanged_flush_list_makes_no_flush_or_cas():
+    steps = {}
+    for fp in (False, True):
+        rt = SimRuntime(1, cache="volatile" if fp else "durable", trace=True)
+        lst = RecoverableList(rt, flush_protocol=fp)
+        for k in (3, 5, 9):
+            lst.insert(0, k)
+        for k in (5, 7, 11):
+            lst.find(0, k)
+        rt.trace.clear()
+        before = rt.steps
+        assert [lst.find(0, k) for k in (5, 7, 11)] == [True, False, False]
+        steps[fp] = rt.steps - before
+        assert {e[0] for e in rt.trace} <= {"read"}
+    assert steps[True] == steps[False]
+
+
+def test_cas_expecting_plain_word_matches_flagged_word_and_stores_new_word():
+    node, other = object(), object()
+    for rt in (NativeRuntime(1), SimRuntime(1)):
+        cell = rt.new_cell(PersistedRef(node, False))
+        new = MarkedRef(other, False)
+        assert rt.cas(0, cell, MarkedRef(node, False), new)
+        assert cell.v is new and type(cell.v) is MarkedRef
+
+
+@pytest.mark.parametrize("flush_protocol", [False, True], ids=["list", "list-flush"])
+def test_native_threads_leave_the_keys_the_responses_imply(run_threads,
+                                                          flush_protocol):
+    rt = NativeRuntime(4)
+    lst = RecoverableList(rt, flush_protocol=flush_protocol)
+    keys = range(1, 17)
+    for k in keys[::2]:
+        lst.insert(0, k)
+    # per key: successful inserts minus successful deletes, per thread
+    net = [dict.fromkeys(keys, 0) for _ in range(4)]
+
+    def work(pid):
+        rng = random.Random(pid)
+        for _ in range(1_000):
+            rt.invoke_reset(pid)
+            k, r = rng.choice(keys), rng.random()
+            if r < 0.2:
+                lst.find(pid, k)
+            elif r < 0.6:
+                net[pid][k] += lst.insert(pid, k)
+            else:
+                net[pid][k] -= lst.delete(pid, k)
+
+    run_threads(4, work)
+    final = {k: (k in keys[::2]) + sum(n[k] for n in net) for k in keys}
+    assert set(final.values()) <= {0, 1}
+    expected = {k for k, n in final.items() if n}
+    assert lst.snapshot() == expected
+    if flush_protocol:    # what a crash now would keep
+        chain = lst.persisted_chain()[1:-1]
+        assert {n.key for n in chain if not n.next.p.marked} == expected
 
 
 def test_flush_variant_persists_mark_before_unlink():

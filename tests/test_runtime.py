@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from nvtrack.rlist import ListInfo
 from nvtrack.runtime import (
+    CLEAN,
     CrashPolicy,
     DispatchError,
     MarkedRef,
@@ -14,6 +15,7 @@ from nvtrack.runtime import (
     Invoke,
     SimRuntime,
     UNSET,
+    UpdateWord,
 )
 
 
@@ -295,12 +297,17 @@ def test_composite_cas_is_failure_atomic(attempts):
 
 
 def test_native_cas_fetch_returns_old_value_and_swaps_only_on_match():
-    rt = NativeRuntime(1)
-    cell = rt.new_cell(MarkedRef("a", False))
-    assert rt.cas_fetch(0, cell, MarkedRef("b", False), "x") == MarkedRef("a", False)
-    assert cell.v == MarkedRef("a", False)
-    assert rt.cas_fetch(0, cell, MarkedRef("a", False), "x") == MarkedRef("a", False)
-    assert cell.v == "x"
+    for rt in (NativeRuntime(1), SimRuntime(1)):
+        cell = rt.new_cell(MarkedRef("a", False))
+        assert rt.cas_fetch(0, cell, MarkedRef("b", False), "x") == MarkedRef("a", False)
+        assert cell.v == MarkedRef("a", False)
+        assert rt.cas_fetch(0, cell, MarkedRef("a", False), "x") == MarkedRef("a", False)
+        assert cell.v == "x"
+        # a CLEAN word is no wildcard: a stale flag CAS must fail
+        word = UpdateWord(CLEAN, "a")
+        cell = rt.new_cell(word)
+        assert rt.cas_fetch(0, cell, UpdateWord(CLEAN, "b"), "x") is word
+        assert cell.v is word
 
 
 class _Count:
