@@ -13,6 +13,7 @@ from .runtime import (
     NULL,
     NativeRuntime,
     OpDef,
+    REINVOKE,
     SimRuntime,
     TIMEOUT,
     UNSET,
@@ -40,6 +41,7 @@ __all__ = [
     "NULL",
     "NativeRuntime",
     "OpDef",
+    "REINVOKE",
     "RecoverableBst",
     "RecoverableList",
     "SimRuntime",

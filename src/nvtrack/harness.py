@@ -48,7 +48,7 @@ from .checker import (
     check_strict_recoverability,
     op_shape,
 )
-from .runtime import OpDef, SimRuntime, StepBudgetExceeded, UNSET
+from .runtime import OpDef, REINVOKE, SimRuntime, StepBudgetExceeded, UNSET
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +75,9 @@ def _timed_exchange_recover(obj, pid, value):
     m = obj.m
     rec = m.read(pid, m.rd[pid])
     if m.read(pid, m.cp[pid]) == 0 or rec is UNSET:
-        m.invoke_reset(pid)
-        return _timed_exchange_call(obj, pid, value)
+        return REINVOKE
     res = obj.recover(pid, rec)
-    if res is not UNSET:
-        return res
-    m.invoke_reset(pid)
-    return _timed_exchange_call(obj, pid, value)
+    return REINVOKE if res is UNSET else res
 
 
 def _make_timed_exchanger(rt):
@@ -94,8 +90,7 @@ LIST_OPS = {
                     rlist.RecoverableList.insert_recover),
     "delete": OpDef("delete", rlist.RecoverableList.delete,
                     rlist.RecoverableList.delete_recover),
-    "find": OpDef("find", rlist.RecoverableList.find,
-                  rlist.RecoverableList.find_recover, is_update=False),
+    "find": OpDef("find", rlist.RecoverableList.find, is_update=False),
 }
 
 BST_OPS = {
@@ -104,7 +99,7 @@ BST_OPS = {
     "delete": OpDef("delete", rbst.RecoverableBst.delete,
                     rbst.RecoverableBst.delete_recover),
     "contains": OpDef("contains", rbst.RecoverableBst.contains,
-                      rbst.RecoverableBst.contains_recover, is_update=False),
+                      is_update=False),
 }
 
 STACK_OPS = {

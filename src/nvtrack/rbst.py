@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .runtime import CLEAN, DFLAG, IFLAG, MARK, InfoRecord, UNSET, UpdateWord
+from .runtime import (CLEAN, DFLAG, IFLAG, MARK, REINVOKE, InfoRecord, UNSET,
+                      UpdateWord)
 
 INF2 = 2 ** 63 - 1
 INF1 = 2 ** 63 - 2   # user keys must be strictly below INF1
@@ -225,13 +226,6 @@ class RecoverableBst(BaselineBst):
     """The baseline plus per-process tracking through ``cp``, ``rd`` and
     each record's ``result``."""
 
-    def _reinvoke(self, p, fn, *args):
-        self.m.invoke_reset(p)
-        return fn(p, *args)
-
-    def contains_recover(self, p, k) -> bool:
-        return self._reinvoke(p, self.contains, k)
-
     # -- helping: completions write the result before unflagging ------------
 
     def help_insert(self, p, op: InsertInfo) -> None:
@@ -283,7 +277,7 @@ class RecoverableBst(BaselineBst):
         m = self.m
         op = m.read(p, m.rd[p])
         if m.read(p, m.cp[p]) == 0 or op is UNSET:
-            return self._reinvoke(p, self.insert, k)
+            return REINVOKE
         if m.read(p, op.result) is False:
             return False
         word = m.read(p, op.p.update)
@@ -291,7 +285,7 @@ class RecoverableBst(BaselineBst):
             self.help_insert(p, op)
         if m.read(p, op.result) is True:
             return True
-        return self._reinvoke(p, self.insert, k)
+        return REINVOKE
 
     def delete(self, p, k) -> bool:
         m = self.m
@@ -321,7 +315,7 @@ class RecoverableBst(BaselineBst):
         m = self.m
         op = m.read(p, m.rd[p])
         if m.read(p, m.cp[p]) == 0 or op is UNSET:
-            return self._reinvoke(p, self.delete, k)
+            return REINVOKE
         if m.read(p, op.result) is False:
             return False
         word = m.read(p, op.gp.update)
@@ -329,4 +323,4 @@ class RecoverableBst(BaselineBst):
             self.help_delete(p, op)
         if m.read(p, op.result) is True:
             return True
-        return self._reinvoke(p, self.delete, k)
+        return REINVOKE

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from .runtime import InfoRecord, TIMEOUT, UNSET
+from .runtime import REINVOKE, InfoRecord, TIMEOUT, UNSET
 
 EX_EMPTY, EX_WAITING, EX_BUSY = 0, 1, 2
 
@@ -144,10 +144,6 @@ class Exchanger(TimedExchanger):
     def __init__(self, m):
         super().__init__(m, ExchangeInfo(m, EX_EMPTY, UNSET))
 
-    def _reinvoke(self, p, value):
-        self.m.invoke_reset(p)
-        return self.exchange(p, value)
-
     def exchange(self, p, value) -> Any:
         m = self.m
         myop = ExchangeInfo(m, EX_WAITING, value)
@@ -160,7 +156,7 @@ class Exchanger(TimedExchanger):
         myop = m.read(p, m.rd[p])
         yourop = m.read(p, self.slot)
         if m.read(p, m.cp[p]) == 0:
-            return self._reinvoke(p, value)
+            return REINVOKE
         state = m.read(p, myop.state)
         if state == EX_WAITING:
             if yourop is myop:
@@ -173,4 +169,4 @@ class Exchanger(TimedExchanger):
         res = m.read(p, myop.result)
         if res is not UNSET:
             return res
-        return self._reinvoke(p, value)
+        return REINVOKE

@@ -27,7 +27,7 @@ deleter write is flushed immediately.
 
 from __future__ import annotations
 
-from .runtime import InfoRecord, MarkedRef, UNSET
+from .runtime import REINVOKE, InfoRecord, MarkedRef, UNSET
 
 KEY_MIN = -(2 ** 63)
 KEY_MAX = 2 ** 63 - 1
@@ -168,10 +168,6 @@ class RecoverableList(BaselineList):
         if self._fp:
             self.m.flush(p, cell)
 
-    def _reinvoke(self, p, fn, *args):
-        self.m.invoke_reset(p)
-        return fn(p, *args)
-
     # -- queries ------------------------------------------------------------
 
     def find(self, p, key) -> bool:
@@ -187,9 +183,6 @@ class RecoverableList(BaselineList):
                 return not word.marked
             curr = word.ref
         return False
-
-    def find_recover(self, p, key) -> bool:
-        return self._reinvoke(p, self.find, key)
 
     def search(self, p, key):
         """The baseline's search, or under the flush protocol the same walk
@@ -252,7 +245,7 @@ class RecoverableList(BaselineList):
     def insert_recover(self, p, key) -> bool:
         m = self.m
         if m.read(p, m.cp[p]) == 0:
-            return self._reinvoke(p, self.insert, key)
+            return REINVOKE
         info = m.read(p, m.rd[p])
         res = m.read(p, info.result)
         if res is not UNSET:
@@ -263,7 +256,7 @@ class RecoverableList(BaselineList):
             m.write(p, info.result, True)
             self._persist(p, info.result)
             return True
-        return self._reinvoke(p, self.insert, key)
+        return REINVOKE
 
     def delete(self, p, key) -> bool:
         m = self.m
@@ -296,7 +289,7 @@ class RecoverableList(BaselineList):
     def delete_recover(self, p, key) -> bool:
         m = self.m
         if m.read(p, m.cp[p]) == 0:
-            return self._reinvoke(p, self.delete, key)
+            return REINVOKE
         info = m.read(p, m.rd[p])
         res = m.read(p, info.result)
         if res is not UNSET:
@@ -309,7 +302,7 @@ class RecoverableList(BaselineList):
             m.write(p, info.result, res)
             self._persist(p, info.result)
             return res
-        return self._reinvoke(p, self.delete, key)
+        return REINVOKE
 
     # -- introspection (tests and harness only) ------------------------------
 

@@ -23,7 +23,7 @@ import random
 from typing import Any, Optional
 
 from .rexchanger import EX_BUSY, EX_EMPTY, EX_WAITING, ExchangeInfo, TimedExchanger
-from .runtime import EMPTY, InfoRecord, NULL, RETRY, TIMEOUT, UNSET
+from .runtime import EMPTY, REINVOKE, InfoRecord, NULL, RETRY, TIMEOUT, UNSET
 
 
 class StackNode:
@@ -74,10 +74,6 @@ class EliminationStack:
         # elimination range: shrinks on a collision, grows on a timeout (any
         # rule keeping 1 <= range <= slots conforms)
         self._range = [1] * m.nprocs
-
-    def _reinvoke(self, p, fn, *args):
-        self.m.invoke_reset(p)
-        return fn(p, *args)
 
     # -- central stack -------------------------------------------------------
 
@@ -147,7 +143,7 @@ class EliminationStack:
         m = self.m
         data = m.read(p, m.rd[p])
         if m.read(p, m.cp[p]) == 0:
-            return self._reinvoke(p, self.push, value)
+            return REINVOKE
         if isinstance(data, ExchangeInfo):
             if data.slot.recover(p, data) is NULL:
                 m.write(p, m.rd[p], CentralInfo(m, None, True))
@@ -160,7 +156,7 @@ class EliminationStack:
         data = m.read(p, m.rd[p])
         if m.read(p, data.result) is True:
             return True
-        return self._reinvoke(p, self.push, value)
+        return REINVOKE
 
     def pop(self, p) -> Any:
         m = self.m
@@ -183,7 +179,7 @@ class EliminationStack:
         m = self.m
         data = m.read(p, m.rd[p])
         if m.read(p, m.cp[p]) == 0:
-            return self._reinvoke(p, self.pop)
+            return REINVOKE
         if isinstance(data, ExchangeInfo):
             temp = data.slot.recover(p, data)
             if temp is not NULL and temp is not UNSET:
@@ -202,7 +198,7 @@ class EliminationStack:
         # NULL means the exchange paired two pops: no effect, run again.
         if res is not UNSET and res is not NULL:
             return res
-        return self._reinvoke(p, self.pop)
+        return REINVOKE
 
     # -- introspection (tests and harness only) ------------------------------
 

@@ -14,9 +14,11 @@ Two backends implement the API:
   driver (see ``harness``) interleaves them step by step and injects
   whole-system crashes.  A crash wipes every process's local state: each
   unfinished process restarts on a fresh generator, in its failed
-  operation's recovery function if it had one in flight.  Every operation
-  and recovery runs, and records its history events, through one method,
-  and every crash fires through another; both driving modes run a process's
+  operation's recovery function if it had one in flight.  A recovery
+  returns the response its tracking proves, or ``REINVOKE`` to have the
+  runtime run the operation again from scratch.  Every operation and
+  recovery runs, and records its history events, through one method, and
+  every crash fires through another; both driving modes run a process's
   operations through one loop.  A run can be saved between steps, crashed
   and restored, so one crash-free run can serve as the common prefix of many
   crash runs.
@@ -57,6 +59,8 @@ class _Sentinel:
 
 #: A field that has not been written yet (distinct from every payload).
 UNSET = _Sentinel("UNSET")
+#: What a recovery returns to have its operation run again from scratch.
+REINVOKE = _Sentinel("REINVOKE")
 #: The exchange value a pop passes through the elimination layer.
 NULL = _Sentinel("NULL")
 #: Response of a pop that observed an empty stack.
@@ -112,13 +116,22 @@ class InfoRecord:
 # Operation descriptors and history events
 # ---------------------------------------------------------------------------
 
+def reinvoke(obj: Any, pid: int, *args: Any) -> Any:
+    """The recovery of an operation with no effect to track: run it again."""
+    return REINVOKE
+
+
 @dataclass(frozen=True)
 class OpDef:
-    """A named operation with its recovery function."""
+    """A named operation with its recovery function.
+
+    A recovery returns the response its tracking proves, or ``REINVOKE``;
+    the runtime then resets the checkpoint and runs ``call`` again from
+    scratch, and that run's response is the recovery's."""
 
     name: str
     call: Callable[..., Any]          # (obj, pid, *args) -> response
-    recover: Callable[..., Any]       # (obj, pid, *args) -> response
+    recover: Callable[..., Any] = reinvoke   # (obj, pid, *args) -> response
     is_update: bool = True
 
 
@@ -209,8 +222,6 @@ class NativeRuntime:
     one.  ``flush`` emulates a cache-line writeback by copying the cached
     value to the persisted slot.
     """
-
-    kind = "native"
 
     def __init__(self, nprocs: int, *, seed: int = 0) -> None:
         self.nprocs = nprocs
@@ -303,8 +314,6 @@ class SimRuntime:
       can also be saved (:meth:`save`), crashed, and restored.
     """
 
-    kind = "sim"
-
     def __init__(self, nprocs: int, *, cache: str = "durable",
                  policy: Optional[CrashPolicy] = None, seed: int = 0,
                  step_budget: int = 10_000, trace: bool = False) -> None:
@@ -362,10 +371,7 @@ class SimRuntime:
             self._vcells.append(cell)
         return cell
 
-    def _gate(self, pid: Optional[int]) -> None:
-        if pid is None:            # setup/inspection context: not a crash point
-            self.steps += 1
-            return
+    def _gate(self, pid: int) -> None:
         if self._procs:
             if self._granted != pid:
                 raise RuntimeError(f"process {pid} made a shared-cell access "
@@ -530,8 +536,10 @@ class SimRuntime:
 
     def _run_op(self, pid: int, opdef: OpDef, args: tuple, recovering: bool) -> Any:
         """Run one call (or, if ``recovering``, one recovery) of ``opdef``
-        and record its events.  CrashUnwind propagates unrecorded;
-        StepBudgetExceeded is recorded as ``Abandoned`` and re-raised."""
+        and record its events.  A recovery that returns ``REINVOKE`` has the
+        call run again from scratch, within the same step budget.
+        CrashUnwind propagates unrecorded; StepBudgetExceeded is recorded as
+        ``Abandoned`` and re-raised."""
         self._op_steps[pid] = 0
         if self._record:
             self.history.append(RecoverBegin(self.steps, pid, opdef.name) if recovering
@@ -540,6 +548,9 @@ class SimRuntime:
             self.invoke_reset(pid)
         try:
             resp = (opdef.recover if recovering else opdef.call)(self.obj, pid, *args)
+            if resp is REINVOKE:
+                self.invoke_reset(pid)
+                resp = opdef.call(self.obj, pid, *args)
         except StepBudgetExceeded:
             self._emit(Abandoned(self.steps, pid, opdef.name))
             raise

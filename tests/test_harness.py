@@ -26,6 +26,7 @@ from nvtrack.runtime import (
     CrashPolicy,
     Invoke,
     OpDef,
+    REINVOKE,
     RecoverBegin,
     Response,
     SimRuntime,
@@ -358,7 +359,8 @@ def _listed_insert(obj, pid, key):
 
 
 def _listed_insert_recover(obj, pid, key):
-    return [obj.insert_recover(pid, key)]
+    res = obj.insert_recover(pid, key)
+    return res if res is REINVOKE else [res]
 
 
 def test_sweep_counts_histories_whose_responses_cannot_be_hashed():

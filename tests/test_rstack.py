@@ -18,7 +18,7 @@ from nvtrack.checker import StackModel, check_nrl
 from nvtrack.rstack import CentralInfo, EliminationStack, StackNode
 from nvtrack.rexchanger import ExchangeInfo
 from nvtrack.runtime import (
-    EMPTY, NULL, NativeRuntime, OpDef, SimRuntime, TIMEOUT, UNSET)
+    EMPTY, NULL, NativeRuntime, OpDef, REINVOKE, SimRuntime, TIMEOUT, UNSET)
 
 STACK = STRUCTURES["stack"]
 
@@ -205,9 +205,11 @@ def test_push_recover_returns_true_after_completed_pop_collision():
 def test_push_recover_reinvokes_after_failed_collision():
     rt, stk, myop = _mid_visit_state(10)
     rt.write(0, stk.exchangers[0].slot, myop)   # crashed while waiting alone
-    assert stk.push_recover(0, 10) is True
-    assert stk.snapshot() == [10]               # re-invoked onto the stack
+    assert stk.push_recover(0, 10) is REINVOKE  # withdrawn, with no effect
     assert stk.quiescent_slots()
+    assert stk.snapshot() == []
+    assert rt.invoke(0, STACK.ops["push"], (10,)) is True
+    assert stk.snapshot() == [10]               # re-invoked onto the stack
 
 
 def test_pop_recover_returns_value_after_completed_push_collision():
@@ -223,7 +225,12 @@ def test_pop_recover_reinvokes_after_pop_pop_collision():
     # not a response; recovery must run the pop again, not return it
     rt, stk, myop = _mid_visit_state(NULL)
     rt.write(1, myop.result, NULL)
-    assert stk.pop_recover(0) is EMPTY
+    assert stk.pop_recover(0) is REINVOKE
+    assert stk.quiescent_slots()
+    assert stk.snapshot() == []
+    assert rt.invoke(0, STACK.ops["pop"]) is EMPTY
+    assert rt.invoke(0, STACK.ops["push"], (10,)) is True
+    assert stk.snapshot() == [10]
 
 
 def test_push_recover_detects_success_via_pushed_flag_after_rival_pop():

@@ -3,16 +3,22 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nvtrack.harness import Schedule, StructureAdapter, run_schedule
 from nvtrack.rlist import ListInfo
 from nvtrack.runtime import (
+    Abandoned,
     CLEAN,
+    CrashEvent,
     CrashPolicy,
     DispatchError,
     MarkedRef,
     NativeRuntime,
     OpDef,
+    REINVOKE,
     RecoverBegin,
+    RecoverResponse,
     Invoke,
+    Response,
     SimRuntime,
     UNSET,
     UpdateWord,
@@ -229,25 +235,66 @@ def test_a_nested_access_takes_its_step_before_the_outer_one():
     assert a.v == 1            # read b before the other process wrote it
 
 
+# -- a recovery that returns REINVOKE: the runtime runs the call again -------
+
+class _Rerun:
+    """Its ``op`` notes the checkpoint it starts from, sets it, then reads
+    its cell twice; its recovery always asks for a re-run."""
+
+    def __init__(self, m):
+        self.m = m
+        self.cell = m.new_cell(0)
+        self.starts = []
+
+    def op(self, p, x):
+        m = self.m
+        self.starts.append(m.read(p, m.cp[p]))
+        m.write(p, m.cp[p], 1)
+        m.read(p, self.cell)
+        m.read(p, self.cell)
+        return x
+
+    def op_recover(self, p, x):
+        assert self.m.read(p, self.m.cp[p]) == 1
+        return REINVOKE
+
+
+_RERUN_OP = OpDef("op", _Rerun.op, _Rerun.op_recover)
+
+
 def test_nested_reinvocation_resets_checkpoint_again():
     rt = SimRuntime(1)
-    rt.bind(None)
-    cell = rt.new_cell(0)
-    seen = []
+    obj = rt.bind(_Rerun(rt))
+    assert rt.run_ops_direct(0, [(_RERUN_OP, (7,))], crash_steps=[3])
+    assert obj.starts == [0, 0]
+    assert rt.cp[0].v == 1
+    kinds = [type(e) for e in rt.history]
+    assert kinds == [Invoke, CrashEvent, RecoverBegin, RecoverResponse]
+    assert rt.history[-1].value == 7
 
-    def call(obj, pid):
-        seen.append(rt.cp[pid].v)
-        rt.write(pid, rt.cp[pid], 1)
-        rt.read(pid, cell)
-        rt.read(pid, cell)
-        return True
 
-    def recover(obj, pid):
-        rt.invoke_reset(pid)
-        return call(obj, pid)
+def test_a_crash_inside_a_reinvoked_call_recovers_again():
+    adapter = StructureAdapter("rerun", _Rerun, {"op": _RERUN_OP}, model=None)
+    # crashes after the first run's cp write, then after the re-run's (the
+    # recovery's read of cp is step 2)
+    out = run_schedule(adapter, {0: [("op", (7,))]},
+                       Schedule(((0, 20),), crashes=(2, 5)))
+    assert out.obj.starts == [0, 0, 0]
+    kinds = [type(e) for e in out.history]
+    assert kinds == [Invoke, CrashEvent, RecoverBegin, CrashEvent, RecoverBegin,
+                     RecoverResponse]
+    assert out.history[-1].value == 7
+    assert not any(isinstance(e, Response) for e in out.history)
 
-    rt.run_ops_direct(0, [(OpDef("op", call, recover), ())], crash_steps=[2])
-    assert seen == [0, 0]
+
+def test_a_reinvoked_call_shares_the_recovery_step_budget():
+    # the recovery takes 1 step and the re-run 4, one over the budget
+    rt = SimRuntime(1, step_budget=4)
+    obj = rt.bind(_Rerun(rt))
+    assert not rt.run_ops_direct(0, [(_RERUN_OP, (7,))], crash_steps=[2])
+    assert obj.starts == [0, 0]
+    kinds = [type(e) for e in rt.history]
+    assert kinds == [Invoke, CrashEvent, RecoverBegin, Abandoned]
 
 
 # -- property: the dual-value cell tracks an independent reference model ----
