@@ -15,6 +15,23 @@ A push/pop that loses its central CAS visits the elimination layer; a
 push/pop pair that collides there completes without touching the stack.  The
 record in ``rd`` is retyped per attempt (central record vs exchange record),
 which is how recovery knows which sub-protocol to resume.
+
+Fields fixed at a record's creation are plain attributes, not cells: a
+:class:`CentralInfo` holds the node its operation works on, and a node's
+``value`` never changes.  A push's record holds its node for the whole
+operation; a pop installs a fresh record for each central attempt, holding
+the top that attempt tries to remove.
+
+An operation reads ``top`` once at invocation, and that read serves as its
+first attempt's ``oldtop``: a push allocates its node with ``next`` already
+set to it (allocation is persistent), a pop fills its record with it, and
+each writes ``rd`` and then ``cp`` before its first CAS.  After a visit to
+the elimination layer that does not finish the operation, the retry
+re-reads ``top``, then a push re-stamps ``nd.next`` and writes its record
+to ``rd`` again, because the visit retyped it, and a pop writes a new
+record for the new ``oldtop`` to ``rd``.  So at every central CAS, ``rd``
+holds the operation's central record, and that record's node is the
+attempt's node (push) or ``oldtop`` (pop).
 """
 
 from __future__ import annotations
@@ -29,18 +46,22 @@ from .runtime import EMPTY, REINVOKE, InfoRecord, NULL, RETRY, TIMEOUT, UNSET
 class StackNode:
     __slots__ = ("value", "next", "pushed", "popper")
 
-    def __init__(self, m, value):
+    def __init__(self, m, value, nxt):
         self.value = value
-        self.next = m.new_cell(None)
+        self.next = m.new_cell(nxt)
         self.pushed = m.new_cell(False)
         self.popper = m.new_cell(m.nprocs)   # nprocs encodes "nobody"
 
 
 class CentralInfo(InfoRecord):
+    """An operation's central record: a push's node, or the top a pop's
+    attempt tries to remove; ``nd`` is None if the stack was empty, and in
+    a record that completes an operation by elimination."""
+
     __slots__ = ("nd", "result")
 
     def __init__(self, m, nd, result=UNSET):
-        self.nd = m.new_cell(nd)
+        self.nd = nd
         self.result = m.new_cell(result)
 
 
@@ -77,24 +98,20 @@ class EliminationStack:
 
     # -- central stack -------------------------------------------------------
 
-    def try_push(self, p, data: CentralInfo) -> bool:
+    def try_push(self, p, data: CentralInfo, oldtop) -> bool:
+        """One central CAS of ``data.nd``, whose ``next`` is ``oldtop``."""
         m = self.m
-        oldtop = m.read(p, self.top)
-        nd = m.read(p, data.nd)
-        m.write(p, nd.next, oldtop)
-        m.write(p, m.rd[p], data)
+        nd = data.nd
         if m.cas(p, self.top, oldtop, nd, note="push"):
             m.write(p, nd.pushed, True)
             m.write(p, data.result, True)
             return True
         return False
 
-    def try_pop(self, p, data: CentralInfo) -> Any:
-        """Pop once: value, EMPTY, or RETRY when a CAS was lost."""
+    def try_pop(self, p, data: CentralInfo, oldtop) -> Any:
+        """Pop ``oldtop``, which is ``data.nd``, once: value, EMPTY, or
+        RETRY when a CAS was lost."""
         m = self.m
-        oldtop = m.read(p, self.top)
-        m.write(p, data.nd, oldtop)
-        m.write(p, m.rd[p], data)
         if oldtop is None:
             m.write(p, data.result, EMPTY)
             return EMPTY
@@ -123,12 +140,12 @@ class EliminationStack:
 
     def push(self, p, value) -> bool:
         m = self.m
-        nd = StackNode(m, value)
-        data = CentralInfo(m, nd)
+        oldtop = m.read(p, self.top)
+        data = CentralInfo(m, StackNode(m, value, oldtop))
         m.write(p, m.rd[p], data)
         m.write(p, m.cp[p], 1)
         while True:
-            if self.try_push(p, data):
+            if self.try_push(p, data, oldtop):
                 return True
             other = self.visit(p, value, self._range[p], self.exchange_wait)
             if other is NULL:          # collided with a pop
@@ -137,7 +154,10 @@ class EliminationStack:
                 return True
             if other is TIMEOUT:
                 self._range[p] = min(self.slots, self._range[p] + 1)
-            # a push/push collision falls through and retries centrally
+            # a timeout or a push/push collision retries centrally
+            oldtop = m.read(p, self.top)
+            m.write(p, data.nd.next, oldtop)
+            m.write(p, m.rd[p], data)
 
     def push_recover(self, p, value) -> bool:
         m = self.m
@@ -148,7 +168,7 @@ class EliminationStack:
             if data.slot.recover(p, data) is NULL:
                 m.write(p, m.rd[p], CentralInfo(m, None, True))
         else:
-            nd = m.read(p, data.nd)
+            nd = data.nd
             if m.read(p, data.result) is UNSET:
                 if self.stack_search(p, nd) or m.read(p, nd.pushed):
                     m.write(p, nd.pushed, True)
@@ -160,11 +180,12 @@ class EliminationStack:
 
     def pop(self, p) -> Any:
         m = self.m
-        data = CentralInfo(m, m.read(p, self.top))
+        oldtop = m.read(p, self.top)
+        data = CentralInfo(m, oldtop)
         m.write(p, m.rd[p], data)
         m.write(p, m.cp[p], 1)
         while True:
-            response = self.try_pop(p, data)
+            response = self.try_pop(p, data, oldtop)
             if response is not RETRY:
                 return response
             other = self.visit(p, NULL, self._range[p], self.exchange_wait)
@@ -174,6 +195,10 @@ class EliminationStack:
                 m.write(p, m.rd[p], CentralInfo(m, None, other))
                 self._range[p] = max(1, self._range[p] - 1)
                 return other
+            # a timeout or a pop/pop collision retries centrally
+            oldtop = m.read(p, self.top)
+            data = CentralInfo(m, oldtop)
+            m.write(p, m.rd[p], data)
 
     def pop_recover(self, p) -> Any:
         m = self.m
@@ -185,7 +210,7 @@ class EliminationStack:
             if temp is not NULL and temp is not UNSET:
                 m.write(p, m.rd[p], CentralInfo(m, None, temp))
         else:
-            nd = m.read(p, data.nd)
+            nd = data.nd
             if m.read(p, data.result) is UNSET:
                 if nd is None:
                     m.write(p, data.result, EMPTY)

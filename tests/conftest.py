@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -37,3 +38,38 @@ def run_threads():
         if errors:
             raise errors[0]
     return run
+
+
+@pytest.fixture
+def counting_runtime():
+    """A fresh ``SimRuntime`` subclass whose instances all add to the
+    class's ``counts``: ``grant_step`` calls ("calls") and the steps they
+    granted ("granted"), reads, writes, CAS and cell allocations."""
+    from nvtrack.runtime import SimRuntime
+
+    class CountingRuntime(SimRuntime):
+        counts = Counter()
+
+        def grant_step(self, pid):
+            ok = super().grant_step(pid)
+            self.counts["calls"] += 1
+            self.counts["granted"] += ok
+            return ok
+
+        def new_cell(self, value, **kw):
+            self.counts["cells"] += 1
+            return super().new_cell(value, **kw)
+
+        def read(self, pid, cell):
+            self.counts["read"] += 1
+            return super().read(pid, cell)
+
+        def write(self, pid, cell, value):
+            self.counts["write"] += 1
+            super().write(pid, cell, value)
+
+        def cas(self, pid, cell, expected, new, note=None):
+            self.counts["cas"] += 1
+            return super().cas(pid, cell, expected, new, note)
+
+    return CountingRuntime

@@ -29,7 +29,6 @@ from nvtrack.runtime import (
     REINVOKE,
     RecoverBegin,
     Response,
-    SimRuntime,
 )
 
 LIST = STRUCTURES["list"]
@@ -198,24 +197,15 @@ def test_errored_run_traceback_points_at_the_op_source_line():
 
 
 @pytest.mark.parametrize("name,pids,ops,seed", [("list", 2, 2, 1), ("stack", 3, 2, 0)])
-def test_sweep_grants_steps_only_to_processes_that_can_step(monkeypatch, name, pids,
-                                                            ops, seed):
-    calls = [0]
-    granted = [0]
-
-    class CountingRuntime(SimRuntime):
-        def grant_step(self, pid):
-            calls[0] += 1
-            ok = super().grant_step(pid)
-            granted[0] += ok
-            return ok
-
-    monkeypatch.setattr(harness, "SimRuntime", CountingRuntime)
+def test_sweep_grants_steps_only_to_processes_that_can_step(monkeypatch, counting_runtime,
+                                                            name, pids, ops, seed):
+    monkeypatch.setattr(harness, "SimRuntime", counting_runtime)
     workload, setup, initial = default_workload(name, pids, ops, seed)
     report = detectability_sweep(STRUCTURES[name], workload, setup=setup,
                                  model_initial=initial)
     assert report.passed and report.total > 100
-    assert calls[0] == granted[0] > 0
+    counts = counting_runtime.counts
+    assert counts["calls"] == counts["granted"] > 0
 
 
 TWO_INSERTS = {0: [("insert", (5,))], 1: [("insert", (7,))]}

@@ -34,9 +34,9 @@ from nvtrack.harness import (
     run_schedule,
 )
 
-PINNED_SHA256 = "53980c3d02b8732f5620e3dcfa26ae9542699bb9cf95edcfc9eab769964a6ff0"
+PINNED_SHA256 = "7930a23d546da5f17d4f7a15b70b1fc6de293b73237568b5139838018e9e5d40"
 PINNED_LIST_FLUSH_SHA256 = "8ee5b5cb26e5e9a502b444e4a4eff85e0b257369caf75937633b05b60aeae901"
-PINNED_SWEEP_SHA256 = "e9528c6860b93be036fa962e99c524ebf13d9093d1683dfb540f314ec482a763"
+PINNED_SWEEP_SHA256 = "a8d9c77fddc9c2d61f4971c937dd2529f972bced45e2633c5759be2e910fc0f5"
 
 THREADED = ("list", "bst", "stack", "exchanger", "exchanger-timed")
 CRASH_POINTS = 12              # seeded crash points per pattern

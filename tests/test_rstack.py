@@ -14,7 +14,7 @@ from nvtrack.harness import (
     run_direct,
     run_schedule,
 )
-from nvtrack.checker import StackModel, check_nrl
+from nvtrack.checker import StackModel, check_nrl, check_strict_recoverability
 from nvtrack.rstack import CentralInfo, EliminationStack, StackNode
 from nvtrack.rexchanger import ExchangeInfo
 from nvtrack.runtime import (
@@ -65,11 +65,11 @@ def test_try_push_contended_loss_leaves_no_trace_of_loser():
     # a single central-stack attempt per op, interleaved with a full push
     def one_try_push(obj, pid, value):
         m = obj.m
-        nd = StackNode(m, value)
-        data = CentralInfo(m, nd)
+        oldtop = m.read(pid, obj.top)
+        data = CentralInfo(m, StackNode(m, value, oldtop))
         m.write(pid, m.rd[pid], data)
         m.write(pid, m.cp[pid], 1)
-        return obj.try_push(pid, data)
+        return obj.try_push(pid, data, oldtop)
 
     ops = {
         "try_push": OpDef("try_push", one_try_push, one_try_push),
@@ -177,6 +177,93 @@ def test_pushed_is_set_before_any_pop_cas():
                            Schedule(pattern_quanta(pattern, 2, 800, seed=4)),
                            trace=True, step_budget=500)
         assert pushed_before_pop(out.rt.trace)
+
+
+# -- accesses per operation -------------------------------------------------
+
+def _counts(runtime_cls, op, *args, setup=()):
+    rt = runtime_cls(1)
+    stk = rt.bind(EliminationStack(rt))
+    for value in setup:
+        stk.push(0, value)
+    rt.counts.clear()
+    op(stk, 0, *args)
+    return dict(rt.counts)
+
+
+def test_uncontended_ops_make_the_predicted_accesses(counting_runtime):
+    # the top read at invocation is the first attempt's, a push's node is
+    # allocated with its next set, and a record's node is a plain field, so
+    # no access repeats
+    assert _counts(counting_runtime, EliminationStack.push, 1) == {
+        "read": 1, "write": 4, "cas": 1, "cells": 4}
+    assert _counts(counting_runtime, EliminationStack.pop, setup=(1,)) == {
+        "read": 2, "write": 4, "cas": 2, "cells": 1}
+    assert _counts(counting_runtime, EliminationStack.pop) == {
+        "read": 1, "write": 3, "cells": 1}
+
+
+# -- the central retry after an elimination timeout ---------------------------
+
+def _workload_trace(probe):
+    """The probe's trace entries after its set-up, each with its step
+    renumbered as the crash index that fires right after it."""
+    base = probe.rt.steps - probe.granted
+    return [entry[:-1] + (entry[-1] - base,) for entry in probe.rt.trace
+            if entry[-1] > base]
+
+
+def _retry_window(probe, pid, steps):
+    """Crash indices that fall after ``pid`` re-read ``top`` for its central
+    retry and before the retried CAS: the retry takes ``steps`` steps, the
+    last of which rewrites ``rd`` from the timed-out exchange record to a
+    central record."""
+    rd = probe.rt.rd[pid]
+    restamp = [step for kind, p, cell, old, new, _, _, step in _workload_trace(probe)
+               if kind == "write" and p == pid and cell is rd
+               and isinstance(old, ExchangeInfo) and old.result.v is UNSET
+               and isinstance(new, CentralInfo)]
+    assert len(restamp) == 1, restamp
+    return range(restamp[0] - steps + 1, restamp[0] + 1)
+
+
+def _sweep_retry(wl, setup, initial, head, steps, check_final):
+    # pid 0 reads top and stops short of its CAS; pid 1 then changes top and
+    # finishes, so pid 0 loses its CAS, waits alone in the elimination layer
+    # until it times out, and retries centrally
+    quanta = ((0, head), (1, 200), (0, 400))
+    probe = run_schedule(STACK, wl, Schedule(quanta), setup=setup, trace=True)
+    cas = [(note, ok) for kind, p, _, _, _, ok, note, _ in _workload_trace(probe)
+           if kind == "cas" and p == 0 and note in ("push", "pop")]
+    assert cas == [(wl[0][0][0], False), (wl[0][0][0], True)]
+    window = _retry_window(probe, 0, steps)
+    assert window[-1] < probe.granted    # the sweep below crashes there too
+    for c in range(probe.granted):
+        out = run_schedule(STACK, wl, Schedule(quanta, (c,)), setup=setup)
+        assert not out.inconclusive
+        assert check_nrl(out.history, StackModel(initial)).ok, c
+        assert check_strict_recoverability(out.history).ok, c
+        check_final(out)
+
+
+def test_push_retry_after_elimination_timeout_survives_every_crash():
+    def check_final(out):
+        assert sorted(out.obj.snapshot()) == [10, 20]
+    # pid 0 stops after reading top and writing rd and cp; its retry reads
+    # top and writes its node's next and rd
+    _sweep_retry({0: [("push", (10,))], 1: [("push", (20,))]}, (), (),
+                 3, 3, check_final)
+
+
+def test_pop_retry_after_elimination_timeout_survives_every_crash():
+    def check_final(out):
+        values = [e.value for e in out.history if hasattr(e, "value")]
+        assert sorted(values) == [77, 78] and out.obj.snapshot() == []
+    # pid 0 stops after reading top, writing rd and cp, reading next and
+    # writing pushed; its retry reads top and writes a new record to rd
+    _sweep_retry({0: [("pop", ())], 1: [("pop", ())]},
+                 (("push", (77,)), ("push", (78,))), (77, 78),
+                 5, 2, check_final)
 
 
 # -- recovery dispatch branches, constructed deterministically ---------------
