@@ -32,11 +32,17 @@ to ``rd`` again, because the visit retyped it, and a pop writes a new
 record for the new ``oldtop`` to ``rd``.  So at every central CAS, ``rd``
 holds the operation's central record, and that record's node is the
 attempt's node (push) or ``oldtop`` (pop).
+
+The elimination range is a local of each operation, in both stacks: it
+starts at one slot, grows by one slot on each timeout up to ``slots``, and
+a collision ends the operation.  A crash wipes it with the rest of the
+process's local state, so a re-run starts at one slot again.  The slot a
+visit picks is a hash of the seed, the pid and the clock, so neither stack
+keeps state outside cells.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Any, Optional
 
 from .rexchanger import EX_BUSY, EX_EMPTY, EX_WAITING, ExchangeInfo, TimedExchanger
@@ -65,20 +71,6 @@ class CentralInfo(InfoRecord):
         self.result = m.new_cell(result)
 
 
-class _DrawLog(list):
-    """Each process's elimination rng, noting every pid whose rng is fetched
-    (the stack fetches one only to draw from it) in ``drawn``, so a saved
-    copy of an rng's state is refreshed only once that rng has moved on."""
-
-    def __init__(self, rngs):
-        super().__init__(rngs)
-        self.drawn = set(range(len(rngs)))     # no state copied yet
-
-    def __getitem__(self, p):
-        self.drawn.add(p)
-        return super().__getitem__(p)
-
-
 class EliminationStack:
     """LIFO stack of word-sized payloads (NULL/EMPTY/UNSET are reserved)."""
 
@@ -86,15 +78,11 @@ class EliminationStack:
                  seed: int = 0):
         self.m = m
         self.slots = slots
+        self.seed = seed
         self.exchange_wait = exchange_wait or m.default_exchange_wait
         self.top = m.new_cell(None)
         self.default = ExchangeInfo(m, EX_EMPTY, UNSET)
         self.exchangers = [TimedExchanger(m, self.default) for _ in range(slots)]
-        self._rng = _DrawLog([random.Random(f"{seed}:{pid}") for pid in range(m.nprocs)])
-        self._held = [None] * m.nprocs     # each rng's state as last saved
-        # elimination range: shrinks on a collision, grows on a timeout (any
-        # rule keeping 1 <= range <= slots conforms)
-        self._range = [1] * m.nprocs
 
     # -- central stack -------------------------------------------------------
 
@@ -133,7 +121,10 @@ class EliminationStack:
         return False
 
     def visit(self, p, value, cells: int, duration: int) -> Any:
-        slot = self._rng[p].randrange(cells)
+        """Exchange ``value`` in one of the first ``cells`` slots, picked by
+        a hash of the seed, the pid and the clock: a tuple of ints, whose
+        hash PYTHONHASHSEED does not change."""
+        slot = hash((self.seed, p, self.m.now())) % cells
         return self.exchangers[slot].exchange(p, value, duration)
 
     # -- operations ----------------------------------------------------------
@@ -144,16 +135,16 @@ class EliminationStack:
         data = CentralInfo(m, StackNode(m, value, oldtop))
         m.write(p, m.rd[p], data)
         m.write(p, m.cp[p], 1)
+        cells = 1
         while True:
             if self.try_push(p, data, oldtop):
                 return True
-            other = self.visit(p, value, self._range[p], self.exchange_wait)
+            other = self.visit(p, value, cells, self.exchange_wait)
             if other is NULL:          # collided with a pop
                 m.write(p, m.rd[p], CentralInfo(m, None, True))
-                self._range[p] = max(1, self._range[p] - 1)
                 return True
             if other is TIMEOUT:
-                self._range[p] = min(self.slots, self._range[p] + 1)
+                cells = min(self.slots, cells + 1)
             # a timeout or a push/push collision retries centrally
             oldtop = m.read(p, self.top)
             m.write(p, data.nd.next, oldtop)
@@ -184,16 +175,16 @@ class EliminationStack:
         data = CentralInfo(m, oldtop)
         m.write(p, m.rd[p], data)
         m.write(p, m.cp[p], 1)
+        cells = 1
         while True:
             response = self.try_pop(p, data, oldtop)
             if response is not RETRY:
                 return response
-            other = self.visit(p, NULL, self._range[p], self.exchange_wait)
+            other = self.visit(p, NULL, cells, self.exchange_wait)
             if other is TIMEOUT:
-                self._range[p] = min(self.slots, self._range[p] + 1)
+                cells = min(self.slots, cells + 1)
             elif other is not NULL:    # collided with a push
                 m.write(p, m.rd[p], CentralInfo(m, None, other))
-                self._range[p] = max(1, self._range[p] - 1)
                 return other
             # a timeout or a pop/pop collision retries centrally
             oldtop = m.read(p, self.top)
@@ -227,32 +218,6 @@ class EliminationStack:
 
     # -- introspection (tests and harness only) ------------------------------
 
-    def save_private(self) -> tuple:
-        """The simulated state kept outside cells: each process's elimination
-        rng and range, for ``SimRuntime.save``, which branches crash runs off
-        a saved run.  Any structure with state outside cells must provide
-        this pair, ``save_private``/``restore_private``, under these names.
-        An rng's state is copied only if it was drawn since the copy already
-        held."""
-        rngs, held = self._rng, self._held
-        for p, rng in enumerate(rngs):
-            if p in rngs.drawn:
-                held[p] = rng.getstate()
-        rngs.drawn.clear()
-        return tuple(held), self._range[:]
-
-    def restore_private(self, saved: tuple) -> None:
-        """Undo every change since ``saved``; an rng's state is set only if
-        it was drawn since, or differs from ``saved``'s."""
-        states, ranges = saved
-        self._range[:] = ranges
-        rngs, held = self._rng, self._held
-        for p, rng in enumerate(rngs):
-            if p in rngs.drawn or held[p] is not states[p]:
-                rng.setstate(states[p])
-                held[p] = states[p]
-        rngs.drawn.clear()
-
     def snapshot(self) -> list:
         """Stack contents, top first, from the cached view."""
         out = []
@@ -285,15 +250,17 @@ class BaselineStack:
                  seed: int = 0):
         self.m = m
         self.slots = slots
+        self.seed = seed
         self.exchange_wait = exchange_wait or m.default_exchange_wait
         self.top = m.new_cell(None)
         self.exchangers = [m.new_cell((EX_EMPTY, None)) for _ in range(slots)]
-        self._rng = [random.Random(f"{seed}:{pid}") for pid in range(m.nprocs)]
-        self._range = [1] * m.nprocs
 
-    def _exchange(self, p, slot, value, timeout) -> Any:
+    def visit(self, p, value, cells: int, duration: int) -> Any:
+        """Exchange ``value`` in one of the first ``cells`` slots, picked as
+        :meth:`EliminationStack.visit` picks it."""
         m = self.m
-        deadline = m.now() + timeout
+        slot = self.exchangers[hash((self.seed, p, m.now())) % cells]
+        deadline = m.now() + duration
         while True:
             if m.now() > deadline:
                 return TIMEOUT
@@ -317,21 +284,21 @@ class BaselineStack:
     def push(self, p, value) -> bool:
         m = self.m
         nd = _BaseNode(m, value)
+        cells = 1
         while True:
             oldtop = m.read(p, self.top)
             m.write(p, nd.next, oldtop)
             if m.cas(p, self.top, oldtop, nd):
                 return True
-            slot = self.exchangers[self._rng[p].randrange(self._range[p])]
-            other = self._exchange(p, slot, value, self.exchange_wait)
+            other = self.visit(p, value, cells, self.exchange_wait)
             if other is NULL:
-                self._range[p] = max(1, self._range[p] - 1)
                 return True
             if other is TIMEOUT:
-                self._range[p] = min(self.slots, self._range[p] + 1)
+                cells = min(self.slots, cells + 1)
 
     def pop(self, p) -> Any:
         m = self.m
+        cells = 1
         while True:
             oldtop = m.read(p, self.top)
             if oldtop is None:
@@ -339,10 +306,8 @@ class BaselineStack:
             newtop = m.read(p, oldtop.next)
             if m.cas(p, self.top, oldtop, newtop):
                 return oldtop.value
-            slot = self.exchangers[self._rng[p].randrange(self._range[p])]
-            other = self._exchange(p, slot, NULL, self.exchange_wait)
+            other = self.visit(p, NULL, cells, self.exchange_wait)
             if other is TIMEOUT:
-                self._range[p] = min(self.slots, self._range[p] + 1)
+                cells = min(self.slots, cells + 1)
             elif other is not NULL:
-                self._range[p] = max(1, self._range[p] - 1)
                 return other

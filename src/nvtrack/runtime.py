@@ -489,25 +489,23 @@ class SimRuntime:
     def save(self) -> tuple:
         """Everything a run can change from here on, for :meth:`restore`.
 
-        Process mode, between steps.  Values are copied: every cell's
-        ``v``/``p``, the step count, the crash rng's state, and the
-        bound structure's state outside cells, through its ``save_private``
-        if it has one.  The process table, history and per-process lists are
-        kept by reference, since :meth:`crash` leaves them untouched."""
-        obj = self.obj
+        A run's simulated state is its cells plus its processes' frames: no
+        structure keeps state outside cells, and each process's locals live
+        in its generator.  Process mode, between steps.  Values are copied:
+        every cell's ``v``/``p``, the step count and the crash rng's state.
+        The process table, history and per-process lists are kept by
+        reference, since :meth:`crash` leaves them untouched."""
         return (self.steps, None if self._rng is None else self._rng.getstate(),
                 [(c, c.v, c.p) for c in self._cells], len(self._cells),
                 len(self._vcells), None if self.trace is None else len(self.trace),
                 self.history, self._op_steps, self._op_index, self._procs,
-                self._at, self.live,
-                obj.save_private() if hasattr(obj, "save_private") else None)
+                self._at, self.live)
 
     def restore(self, saved: tuple) -> None:
         """Put the run back as :meth:`save` found it, so its paused
         processes can go on; processes started since must be closed first."""
         (self.steps, rng, values, ncells, nvcells, ntrace, self.history,
-         self._op_steps, self._op_index, self._procs, self._at, self.live,
-         private) = saved
+         self._op_steps, self._op_index, self._procs, self._at, self.live) = saved
         if rng is None:
             self._rng = None
         else:
@@ -518,8 +516,6 @@ class SimRuntime:
         del self._vcells[nvcells:]
         if ntrace is not None:
             del self.trace[ntrace:]
-        if hasattr(self.obj, "restore_private"):
-            self.obj.restore_private(private)
         self._granted = None
 
     # -- operations ---------------------------------------------------------

@@ -7,19 +7,19 @@ import threading
 import pytest
 
 from nvtrack import harness
-from nvtrack.checker import StackModel, op_shape
+from nvtrack.checker import op_shape
 from nvtrack.cli import default_workload
 from nvtrack.harness import (
     DEFAULT_PATTERNS,
     STRUCTURES,
     Schedule,
-    StructureAdapter,
     detectability_sweep,
     enumerate_crash_points,
     pattern_quanta,
     run_direct,
     run_schedule,
 )
+from nvtrack.rstack import EliminationStack
 from nvtrack.runtime import (
     Abandoned,
     CrashEvent,
@@ -264,9 +264,8 @@ BRANCH_CASES = [pytest.param(name, pids, {}, id=f"{name}-{pids}")
 
 
 # Every crash point along two patterns, or eight seeded points along each of
-# the five.  The workload seeds are ones whose histories depend on the stack's
-# elimination rng and on list-flush's unflushed writes, which a branch must
-# restore.
+# the five.  The workload seeds are ones whose histories depend on list-flush's
+# unflushed writes, which a branch must restore.
 @pytest.mark.parametrize("seed,points", [(1, dict(patterns=("block", "rand0"))),
                                          (0, dict(samples=8))],
                          ids=["full", "sampled"])
@@ -286,23 +285,32 @@ def test_crash_runs_equal_fresh_runs_of_their_schedules(name, pids, cache, seed,
     assert crash_runs >= 12
 
 
-# The stack keeps its elimination rngs and ranges outside cells; a crash run
-# must restore them even for an adapter that only names the stack's maker.
+# A stack visit past its first timeout picks its slot among several, by a hash
+# of the step count, which a branch restores with the cells.  At 3 processes
+# and 4 ops each, visits reach that range.
 @pytest.mark.parametrize("seed", [0, 1])
-def test_crash_runs_restore_state_a_structure_keeps_outside_cells(seed):
-    stack = STRUCTURES["stack"]
-    adapter = StructureAdapter("stack-bare", stack.make, stack.ops, StackModel,
-                               strict_exempt=())
-    workload, setup, _ = default_workload("stack", 3, 2, seed)
+def test_crash_runs_equal_fresh_runs_where_stack_visits_widen(monkeypatch, seed):
+    visit = EliminationStack.visit
+    widest = [1]                 # the widest range a visit reached
+
+    def widening(self, p, value, cells, duration):
+        widest[0] = max(widest[0], cells)
+        return visit(self, p, value, cells, duration)
+
+    monkeypatch.setattr(EliminationStack, "visit", widening)
+    adapter = STRUCTURES["stack"]
+    workload, setup, _ = default_workload("stack", 3, 4, seed)
     common = dict(setup=setup, seed=seed, step_budget=300)
-    crash_runs = 0
+    crash_runs = widened = 0
     for outcome in enumerate_crash_points(adapter, workload, max_crashes=2,
-                                          **common):
+                                          samples=8, **common):
+        widest[0] = 1
         fresh = run_schedule(adapter, workload, outcome.schedule,
                              label=outcome.label, **common)
         assert _summary(outcome) == _summary(fresh)
         crash_runs += bool(outcome.schedule.crashes)
-    assert crash_runs >= 12
+        widened += bool(outcome.schedule.crashes) and widest[0] > 1
+    assert crash_runs >= 12 and widened >= 1, (crash_runs, widened)
 
 
 def test_a_recovery_that_raises_errors_only_its_own_crash_point():

@@ -3,6 +3,8 @@
 import dataclasses
 import random
 
+import pytest
+
 from nvtrack.cli import default_workload
 from nvtrack.harness import (
     STRUCTURES,
@@ -15,10 +17,10 @@ from nvtrack.harness import (
     run_schedule,
 )
 from nvtrack.checker import StackModel, check_nrl, check_strict_recoverability
-from nvtrack.rstack import CentralInfo, EliminationStack, StackNode
+from nvtrack.rstack import BaselineStack, CentralInfo, EliminationStack, StackNode
 from nvtrack.rexchanger import ExchangeInfo
 from nvtrack.runtime import (
-    EMPTY, NULL, NativeRuntime, OpDef, REINVOKE, SimRuntime, TIMEOUT, UNSET)
+    CrashEvent, EMPTY, NULL, NativeRuntime, OpDef, REINVOKE, SimRuntime, TIMEOUT, UNSET)
 
 STACK = STRUCTURES["stack"]
 
@@ -264,6 +266,72 @@ def test_pop_retry_after_elimination_timeout_survives_every_crash():
     _sweep_retry({0: [("pop", ())], 1: [("pop", ())]},
                  (("push", (77,)), ("push", (78,))), (77, 78),
                  5, 2, check_final)
+
+
+# -- the elimination range, a local of each operation --------------------------
+
+class _LosingRuntime(SimRuntime):
+    """Loses the next ``losses`` CAS on the bound stack's ``top``."""
+
+    losses = 0
+
+    def cas(self, pid, cell, expected, new, note=None):
+        if cell is self.obj.top and self.losses:
+            self.losses -= 1
+            expected = object()          # equal to no value: the CAS fails
+        return super().cas(pid, cell, expected, new, note)
+
+
+def _recording(cls):
+    class Recording(cls):
+        """Notes the range of every visit, and the step it starts at."""
+
+        def __init__(self, m, **kw):
+            super().__init__(m, **kw)
+            self.cells, self.starts = [], []
+
+        def visit(self, p, value, cells, duration):
+            self.cells.append(cells)
+            self.starts.append(self.m.now())
+            return super().visit(p, value, cells, duration)
+    return Recording
+
+
+STACK_OPS = {EliminationStack: STACK.ops,
+             BaselineStack: {"push": OpDef("push", BaselineStack.push),
+                             "pop": OpDef("pop", BaselineStack.pop)}}
+
+
+def _losing_push(cls, losses, crash_steps=()):
+    """A push that loses ``losses`` CAS on ``top``, on a stack of 3 slots."""
+    rt = _LosingRuntime(1)
+    stk = rt.bind(_recording(cls)(rt, slots=3))
+    rt.losses = losses
+    assert rt.run_ops_direct(0, [(STACK_OPS[cls]["push"], (1,))], crash_steps)
+    assert rt.history[-1].value is True and rt.losses == 0
+    return rt, stk
+
+
+@pytest.mark.parametrize("cls", [EliminationStack, BaselineStack])
+def test_elimination_range_grows_per_timeout_and_starts_at_one_per_operation(cls):
+    # alone in the collision layer, every visit times out: the range grows
+    # by one slot per timeout up to slots, and the next operation starts
+    # again at one slot
+    rt, stk = _losing_push(cls, 5)
+    assert stk.cells == [1, 2, 3, 3, 3]
+    rt.losses = 2
+    assert rt.invoke(0, STACK_OPS[cls]["pop"]) == 1
+    assert stk.cells == [1, 2, 3, 3, 3] + [1, 2]
+
+
+@pytest.mark.parametrize("cls", [EliminationStack, BaselineStack])
+def test_elimination_range_starts_at_one_in_a_rerun_after_a_crash(cls):
+    # the crash fires at the first access of the push's third visit; the
+    # push is run again, from one slot, and loses its last two CAS
+    third = _losing_push(cls, 5)[1].starts[2]
+    rt, stk = _losing_push(cls, 5, (third,))
+    assert any(isinstance(e, CrashEvent) for e in rt.history)
+    assert stk.cells == [1, 2, 3] + [1, 2]
 
 
 # -- recovery dispatch branches, constructed deterministically ---------------
