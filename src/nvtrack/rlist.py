@@ -272,12 +272,13 @@ class RecoverableList(BaselineList):
             return False
         m.write(p, info.nd, curr)
         self._persist(p, info.nd)
-        while not m.read(p, curr.next).marked:
-            succ = m.read(p, curr.next)
-            m.cas(p, curr.next, MarkedRef(succ.ref, False),
-                  MarkedRef(succ.ref, True), note="mark")
-        self._persist(p, curr.next)      # whoever marked it, persist the mark first
+        # mark curr unless another deleter has; a marked word's value never
+        # changes, so the word last read (or marked) names curr's successor
         succ = m.read(p, curr.next)
+        while not succ.marked and not m.cas(p, curr.next, MarkedRef(succ.ref, False),
+                                            MarkedRef(succ.ref, True), note="mark"):
+            succ = m.read(p, curr.next)
+        self._persist(p, curr.next)      # whoever marked it, persist the mark first
         m.cas(p, pred.next, MarkedRef(curr, False),
               MarkedRef(succ.ref, False), note="unlink")
         res = m.cas(p, curr.deleter, m.nprocs, p, note="deleter")

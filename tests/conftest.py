@@ -44,7 +44,7 @@ def run_threads():
 def counting_runtime():
     """A fresh ``SimRuntime`` subclass whose instances all add to the
     class's ``counts``: ``grant_step`` calls ("calls") and the steps they
-    granted ("granted"), reads, writes, CAS and cell allocations."""
+    granted ("granted"), reads, writes, CAS, flushes and cell allocations."""
     from nvtrack.runtime import SimRuntime
 
     class CountingRuntime(SimRuntime):
@@ -71,5 +71,9 @@ def counting_runtime():
         def cas(self, pid, cell, expected, new, note=None):
             self.counts["cas"] += 1
             return super().cas(pid, cell, expected, new, note)
+
+        def flush(self, pid, cell):
+            self.counts["flush"] += 1
+            super().flush(pid, cell)
 
     return CountingRuntime

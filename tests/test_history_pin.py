@@ -34,9 +34,9 @@ from nvtrack.harness import (
     run_schedule,
 )
 
-PINNED_SHA256 = "7930a23d546da5f17d4f7a15b70b1fc6de293b73237568b5139838018e9e5d40"
-PINNED_LIST_FLUSH_SHA256 = "8ee5b5cb26e5e9a502b444e4a4eff85e0b257369caf75937633b05b60aeae901"
-PINNED_SWEEP_SHA256 = "a8d9c77fddc9c2d61f4971c937dd2529f972bced45e2633c5759be2e910fc0f5"
+PINNED_SHA256 = "451b6fb9e41925ba7169bf772326eed88bba8584446894cf138f1e8055ea9087"
+PINNED_LIST_FLUSH_SHA256 = "507d0d27747be12278e12d7424ce027c2086c283841b0647e48ad263e87101d4"
+PINNED_SWEEP_SHA256 = "dba670c2e469b302d5b504c1ef885d3f1bef6563d0e75f9ef39d3f6682aaa25b"
 
 THREADED = ("list", "bst", "stack", "exchanger", "exchanger-timed")
 CRASH_POINTS = 12              # seeded crash points per pattern

@@ -271,6 +271,23 @@ def test_second_find_over_unchanged_flush_list_makes_no_flush_or_cas():
     assert steps[True] == steps[False]
 
 
+@pytest.mark.parametrize("flush_protocol", [False, True], ids=["list", "list-flush"])
+def test_sequential_delete_reads_the_victims_next_once_after_search(counting_runtime,
+                                                                    flush_protocol):
+    rt = counting_runtime(1, cache="volatile" if flush_protocol else "durable")
+    lst = rt.bind(RecoverableList(rt, flush_protocol=flush_protocol))
+    for k in (3, 5, 7):
+        lst.insert(0, k)
+    rt.counts.clear()
+    assert lst.delete(0, 5) is True
+    # search reads the links of head, 3 and 5, and the mark loop reads 5's
+    # link once more: a mark CAS that succeeds needs no read after it
+    expected = {"read": 4, "write": 4, "cas": 3, "cells": 2}
+    if flush_protocol:
+        expected["flush"] = 6
+    assert dict(rt.counts) == expected
+
+
 def test_cas_expecting_plain_word_matches_flagged_word_and_stores_new_word():
     node, other = object(), object()
     for rt in (NativeRuntime(1), SimRuntime(1)):
