@@ -63,6 +63,8 @@ class BenchConfig:
                               "protocol only exists for the recoverable list")
         if self.threads < 1 or self.total_ops < 1 or self.runs < 1:
             raise ConfigError("threads, total_ops and runs must be positive")
+        if self.prefill < 0:
+            raise ConfigError("prefill must not be negative")
         if not 0 <= self.read_pct <= 100:
             raise ConfigError("read_pct must be in [0, 100]")
         if self.structure == "stack" and self.read_pct != 0:

@@ -38,6 +38,12 @@ def test_bench_subcommand_rejects_bad_config(capsys):
     assert "flush" in capsys.readouterr().err
 
 
+def test_bench_subcommand_rejects_a_negative_prefill(capsys):
+    rc = main(["bench", "--prefill", "-3"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: prefill ")
+
+
 def test_bench_two_variants_emit_comparable_rows(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
