@@ -4,7 +4,6 @@ runtime, with a crash-injection harness and a benchmark CLI."""
 from .runtime import (
     CLEAN,
     Cell,
-    CrashPolicy,
     DFLAG,
     EMPTY,
     IFLAG,
@@ -30,7 +29,6 @@ __all__ = [
     "BaselineStack",
     "CLEAN",
     "Cell",
-    "CrashPolicy",
     "DFLAG",
     "EMPTY",
     "EliminationStack",

@@ -342,8 +342,13 @@ def _witness(ops: list[OpRecord]) -> str:
 # Strict recoverability
 # ---------------------------------------------------------------------------
 
+#: The operations whose responses are never persisted: by default exempt
+#: from strict recoverability.
+READ_ONLY_OPS = ("find", "contains")
+
+
 def check_strict_recoverability(history: Sequence,
-                                read_only: Sequence[str] = ("find", "contains"),
+                                read_only: Sequence[str] = READ_ONLY_OPS,
                                 ) -> Verdict:
     """Every completed update's response must be persisted before it returns.
 

@@ -41,6 +41,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import rbst, rexchanger, rlist, rstack
 from .checker import (
+    READ_ONLY_OPS,
     ExchangeModel,
     SetModel,
     StackModel,
@@ -61,7 +62,7 @@ class StructureAdapter:
     make: Callable[[SimRuntime], Any]
     ops: dict
     model: Callable[..., Any]
-    strict_exempt: tuple = ("find", "contains")
+    strict_exempt: tuple = READ_ONLY_OPS
 
 
 def _timed_exchange_call(obj, pid, value):
@@ -284,9 +285,9 @@ def _run(rt: SimRuntime, obj: Any, schedule: Schedule, label: str,
 
 
 def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
-                 *, setup: Sequence = (), cache: str = "durable", policy=None,
-                 seed: int = 0, step_budget: int = 10_000, trace: bool = False,
-                 label: str = "") -> RunOutcome:
+                 *, setup: Sequence = (), cache: str = "durable",
+                 survival: float = 0.0, seed: int = 0, step_budget: int = 10_000,
+                 trace: bool = False, label: str = "") -> RunOutcome:
     """Execute exactly the given interleaving, then drain to completion.
 
     Each quantum grants up to ``count`` steps to its pid and ends early once
@@ -298,23 +299,20 @@ def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
 
     An exception raised inside an operation or recovery propagates out of
     this call once every process has been closed."""
-    rt, obj = _started_runtime(adapter, workload, setup, cache=cache, policy=policy,
+    rt, obj = _started_runtime(adapter, workload, setup, cache=cache, survival=survival,
                                seed=seed, step_budget=step_budget, trace=trace)
     return _run(rt, obj, schedule, label)
 
 
 def run_direct(adapter: StructureAdapter, ops: Sequence, *, setup: Sequence = (),
-               cache: str = "durable", policy=None, seed: int = 0,
+               cache: str = "durable", survival: float = 0.0, seed: int = 0,
                step_budget: int = 100_000, crash_steps: Sequence[int] = (),
-               trace: bool = False, label: str = "",
-               on_crash: Optional[Callable] = None) -> RunOutcome:
+               trace: bool = False, label: str = "") -> RunOutcome:
     """Single-process run on the calling thread, with planned crash steps.
 
     An exception raised inside an operation or recovery propagates."""
-    rt, obj = prepared_runtime(adapter, 1, setup, cache=cache, policy=policy,
+    rt, obj = prepared_runtime(adapter, 1, setup, cache=cache, survival=survival,
                                seed=seed, step_budget=step_budget, trace=trace)
-    if on_crash is not None:
-        rt.on_crash = lambda: on_crash(obj, rt)
     base = rt.steps               # crash indices are relative to the workload
     bound = [(adapter.ops[name], args) for name, args in ops]
     finished = rt.run_ops_direct(0, bound, [base + c for c in crash_steps])
@@ -370,7 +368,7 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
                            setup: Sequence = (), patterns: Sequence[str] = DEFAULT_PATTERNS,
                            max_crashes: int = 1, seed: int = 0,
                            step_budget: int = 600, samples: Optional[int] = None,
-                           cache: str = "durable", policy=None,
+                           cache: str = "durable", survival: float = 0.0,
                            ) -> Iterator[RunOutcome]:
     """Yield runs for every crash placement along each base pattern.
 
@@ -389,7 +387,7 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
     nprocs = max(workload) + 1 if workload else 1
     rng = random.Random(seed)
     common = dict(setup=setup, seed=seed, step_budget=step_budget,
-                  cache=cache, policy=policy)
+                  cache=cache, survival=survival)
 
     for pattern in patterns:
         quanta = pattern_quanta(pattern, nprocs, step_budget * nprocs, seed)

@@ -26,10 +26,11 @@ Two backends implement the API:
 Volatile-cache simulation keeps two values per cell: ``v`` (the cached value)
 and ``p`` (the persisted one).  One rule decides persistence: a write reaches
 ``p`` only when its cell is flushed, or at once if the cell is durable.  A
-crash reverts unflushed cells to their persisted value, subject to the
-configured :class:`CrashPolicy`.  The one assumption kept is that allocation
-is persistent: a cell's initial value, given to ``new_cell``, is already its
-persisted value.
+crash reverts each unflushed cell to its persisted value, unless the write
+survives, which it does with the runtime's ``survival`` probability (0 by
+default: every unflushed write is lost).  The one assumption kept is that
+allocation is persistent: a cell's initial value, given to ``new_cell``, is
+already its persisted value.
 """
 
 from __future__ import annotations
@@ -183,35 +184,6 @@ class Abandoned:
 
 
 # ---------------------------------------------------------------------------
-# Crash policy
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CrashPolicy:
-    """Decides which unflushed cached writes survive a crash.
-
-    ``drop-all`` is the deterministic worst case: every unflushed write is
-    lost.  ``drop-random`` keeps each unflushed write independently with
-    probability ``survival_prob``, drawn from the runtime's seeded rng.
-    ``callback`` delegates the survival decision per cell.
-    """
-
-    mode: str = "drop-all"
-    survival_prob: float = 0.0
-    callback: Optional[Callable[[Cell], bool]] = None
-
-    def survives(self, cell: Cell, rng: random.Random) -> bool:
-        if self.mode == "drop-all":
-            return False
-        if self.mode == "drop-random":
-            return rng.random() < self.survival_prob
-        if self.mode == "callback":
-            assert self.callback is not None
-            return bool(self.callback(cell))
-        raise ValueError(f"unknown crash policy mode: {self.mode}")
-
-
-# ---------------------------------------------------------------------------
 # Native backend
 # ---------------------------------------------------------------------------
 
@@ -285,13 +257,9 @@ class StepBudgetExceeded(Exception):
     """The current operation attempt used more steps than its budget."""
 
 
-class DispatchError(Exception):
-    """Recovery was dispatched for a process with no failed operation."""
-
-
 # Where a process stopped: derived code yields _GATE (None) at a scheduling
-# point, and ``SimRuntime._park`` yields _START or _RECOVER before an attempt.
-_GATE, _START, _RECOVER = None, "start", "recover"
+# point, and ``SimRuntime._park`` yields _START before an operation.
+_GATE, _START = None, "start"
 _DONE, _ABANDONED = "done", "abandoned"
 
 
@@ -315,13 +283,13 @@ class SimRuntime:
     """
 
     def __init__(self, nprocs: int, *, cache: str = "durable",
-                 policy: Optional[CrashPolicy] = None, seed: int = 0,
+                 survival: float = 0.0, seed: int = 0,
                  step_budget: int = 10_000, trace: bool = False) -> None:
         if cache not in ("durable", "volatile"):
             raise ValueError(f"unknown cache mode: {cache}")
         self.nprocs = nprocs
         self.cache = cache
-        self.policy = policy or CrashPolicy()
+        self.survival = survival               # P(an unflushed write survives)
         self.step_budget = step_budget
         self.steps = 0
         self.obj: Any = None
@@ -343,9 +311,6 @@ class SimRuntime:
         self._op_index: list = []      # the operation each process is at
         self.live: set = set()         # pids whose process has not finished
         self._granted: Optional[int] = None   # pid let through its gate
-        #: optional callable invoked right after crash semantics are applied
-        #: (cells reverted, in-flight ops failed), before any recovery runs
-        self.on_crash: Optional[Callable[[], None]] = None
 
     # -- configuration ------------------------------------------------------
 
@@ -438,23 +403,24 @@ class SimRuntime:
 
     # -- crash semantics ----------------------------------------------------
 
-    def crash(self, policy: Optional[CrashPolicy] = None) -> None:
-        """Whole-system crash: every process loses its local state, and
-        unflushed writes are dropped.
+    def crash(self, survival: Optional[float] = None) -> None:
+        """Whole-system crash: every process loses its local state, and each
+        unflushed write is lost unless it survives (``survival``, if given,
+        replaces the runtime's probability).
 
         In process mode every unfinished process restarts on a fresh process
-        generator at the operation it was at: one paused inside an operation
-        then starts that operation's recovery, in pid order, and pauses at the
-        recovery's first gate, and one parked before an operation parks there
-        again.  The crash runs on copies of the history and of the
-        per-process lists, so a run saved before it can be restored.
-        Starting a recovery takes no step, and no recovery allocates a cell
-        before its first shared-cell access, so no other order could change
-        the history beyond the order of the ``RecoverBegin`` events, which all
-        carry the crash's ``t``."""
-        if policy is not None:
-            self.policy = policy
-        failed = []
+        generator at the operation it was at, in pid order once the cells
+        are reverted: one paused inside an operation goes straight into that
+        operation's recovery and pauses at its first gate, and one parked
+        before an operation parks there again.  The crash runs on copies of
+        the history and of the per-process lists, so a run saved before it
+        can be restored.  Starting a recovery takes no step, and no recovery
+        allocates a cell before its first shared-cell access, so no other
+        order could change the history beyond the order of the
+        ``RecoverBegin`` events, which all carry the crash's ``t``."""
+        if survival is not None:
+            self.survival = survival
+        crashed = ()
         if self._procs:
             run_ops = derive.twin(self._run_ops)
             self.history = self.history[:]
@@ -463,26 +429,28 @@ class SimRuntime:
             self.live = set(self.live)
             self._procs = procs = self._procs[:]
             self._at = at = self._at[:]
-            for pid in sorted(self.live):
-                gate = at[pid] is _GATE
-                if gate:
-                    failed.append(pid)
+            crashed = {pid for pid in self.live if at[pid] is _GATE}
+            # Every generator is replaced before any recovery runs: a recovery
+            # that raises ends the run, whose close must then reach only new
+            # generators, not the paused ones a saved run still holds.
+            for pid in self.live:
                 procs[pid] = run_ops(pid, self._workload[pid], self._park,
-                                     self._op_index[pid], gate or at[pid] is _RECOVER)
-                self._advance(pid)
+                                     self._op_index[pid], pid in crashed)
         self._emit(CrashEvent(self.steps))
+        survival = self.survival
+        if survival and self._rng is None:
+            self._rng = random.Random(self._seed)
         for cell in self._vcells:
             if cell.v is not cell.p and cell.v != cell.p:
-                if self._rng is None:
-                    self._rng = random.Random(self._seed)
-                if self.policy.survives(cell, self._rng):
+                if survival and self._rng.random() < survival:
                     cell.p = cell.v
                 else:
                     cell.v = cell.p
-        if self.on_crash is not None:
-            self.on_crash()
-        for pid in failed:
-            self.dispatch_recovery(pid)
+        for pid in sorted(self.live):
+            if pid in crashed:
+                self.dispatch_recovery(pid)
+            else:
+                self._advance(pid)
 
     # -- branching off a run ------------------------------------------------
 
@@ -560,18 +528,18 @@ class SimRuntime:
         return resp
 
     def _run_ops(self, pid: int, ops: Sequence[tuple[OpDef, tuple]],
-                 wait: Optional[Callable[[int, int, bool], None]] = None,
+                 wait: Optional[Callable[[int, int], None]] = None,
                  start: int = 0, recovering: bool = False) -> bool:
         """Run ``ops`` in order from index ``start`` (first recovering it, if
         ``recovering``), recovering a failed operation until it completes.
-        ``wait``, if given, is called before every attempt with the pid, the
-        operation's index and whether that attempt is a recovery.  Returns
-        False once an operation exhausts its step budget."""
+        ``wait``, if given, is called before each operation's first attempt
+        with the pid and the operation's index.  Returns False once an
+        operation exhausts its step budget."""
         for i in range(start, len(ops)):
             opdef, args = ops[i]
+            if wait is not None and not recovering:
+                wait(pid, i)
             while True:
-                if wait is not None:
-                    wait(pid, i, recovering)
                 try:
                     self._run_op(pid, opdef, args, recovering)
                     break
@@ -623,11 +591,10 @@ class SimRuntime:
         for pid in range(self.nprocs):
             self._advance(pid)
 
-    def _park(self, pid: int, i: int, recovering: bool):
-        """A process's ``wait``: it parks before every attempt, telling the
-        driver whether that attempt is a recovery."""
+    def _park(self, pid: int, i: int):
+        """A process's ``wait``: it parks before each operation."""
         self._op_index[pid] = i
-        yield _RECOVER if recovering else _START
+        yield _START
 
     def _advance(self, pid: int) -> None:
         """Run ``pid`` to its next yield.  An exception its operation raises
@@ -661,8 +628,6 @@ class SimRuntime:
 
     def dispatch_recovery(self, pid: int) -> None:
         """Start a crashed process's recovery; it runs to its first gate."""
-        if self._at[pid] is not _RECOVER:
-            raise DispatchError(f"process {pid} has no failed operation to recover")
         self._advance(pid)
 
     def inconclusive(self) -> bool:

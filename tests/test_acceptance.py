@@ -20,6 +20,7 @@ from nvtrack.checker import (
     check_nrl,
     check_strict_recoverability,
 )
+from nvtrack import harness
 from nvtrack.harness import (
     STRUCTURES,
     Schedule,
@@ -267,23 +268,26 @@ def test_criterion_4_idempotent_recovery_two_crashes():
 # 5. Flush-variant durability under a volatile cache
 # ---------------------------------------------------------------------------
 
-def _flush_durability_scan(ops, initial, final_state):
+def _flush_durability_scan(monkeypatch, ops, initial, final_state):
     adapter = STRUCTURES["list-flush"]
     structural_failures = []
 
-    def structural(obj, rt):
-        chain = obj.persisted_chain()
-        keys = [n.key for n in chain]
-        if not all(a < b for a, b in zip(keys, keys[1:])):
-            structural_failures.append(("unsorted", keys))
-        if chain[-1].key != KEY_MAX:
-            structural_failures.append(("unreachable-tail", keys))
+    class ChainCheckingRuntime(SimRuntime):
+        # the persisted chain right after a crash, before recovery runs
+        def crash(self, survival=None):
+            super().crash(survival)
+            chain = self.obj.persisted_chain()
+            keys = [n.key for n in chain]
+            if not all(a < b for a, b in zip(keys, keys[1:])):
+                structural_failures.append(("unsorted", keys))
+            if chain[-1].key != KEY_MAX:
+                structural_failures.append(("unreachable-tail", keys))
 
+    monkeypatch.setattr(harness, "SimRuntime", ChainCheckingRuntime)
     probe = run_direct(adapter, ops, cache="volatile")
     cases = failures = 0
     for c in range(probe.granted):
-        out = run_direct(adapter, ops, cache="volatile", crash_steps=[c],
-                         on_crash=structural)
+        out = run_direct(adapter, ops, cache="volatile", crash_steps=[c])
         cases += 1
         if not (check_nrl(out.history, SetModel(initial)).ok
                 and check_strict_recoverability(out.history).ok
@@ -292,7 +296,7 @@ def _flush_durability_scan(ops, initial, final_state):
     return cases, failures, structural_failures
 
 
-def test_criterion_5_flush_variant_durability():
+def test_criterion_5_flush_variant_durability(monkeypatch):
     scans = [
         ([("insert", (5,)), ("insert", (9,))], set(), {5, 9}),
         ([("insert", (5,)), ("delete", (5,))], set(), set()),
@@ -300,7 +304,8 @@ def test_criterion_5_flush_variant_durability():
     ok = True
     details = []
     for ops, initial, final in scans:
-        cases, failures, structural = _flush_durability_scan(ops, initial, final)
+        cases, failures, structural = _flush_durability_scan(monkeypatch, ops,
+                                                             initial, final)
         label = "+".join(f"{o}{a}" for o, a in ops)
         details.append(f"{label}: {failures}/{cases} check failures, "
                        f"{len(structural)} structural")

@@ -23,7 +23,6 @@ from nvtrack.rstack import EliminationStack
 from nvtrack.runtime import (
     Abandoned,
     CrashEvent,
-    CrashPolicy,
     Invoke,
     OpDef,
     REINVOKE,
@@ -255,12 +254,12 @@ def _summary(outcome):
             _left_state(outcome.obj))
 
 
-DROP_POLICIES = (CrashPolicy(), CrashPolicy("drop-random", 0.5))
+SURVIVALS = {"drop-all": 0.0, "drop-random": 0.5}
 BRANCH_CASES = [pytest.param(name, pids, {}, id=f"{name}-{pids}")
                 for name in STRUCTURES for pids in (2, 3)] + [
-    pytest.param("list-flush", pids, dict(cache="volatile", policy=policy),
-                 id=f"list-flush-{pids}-volatile-{policy.mode}")
-    for pids in (2, 3) for policy in DROP_POLICIES]
+    pytest.param("list-flush", pids, dict(cache="volatile", survival=survival),
+                 id=f"list-flush-{pids}-volatile-{mode}")
+    for pids in (2, 3) for mode, survival in SURVIVALS.items()]
 
 
 # Every crash point along two patterns, or eight seeded points along each of

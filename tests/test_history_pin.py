@@ -15,7 +15,8 @@ the same threaded and direct shapes (``PINNED_LIST_FLUSH_SHA256``).
 A third pins what ``enumerate_crash_points`` yields (``PINNED_SWEEP_SHA256``):
 seeded single and double crash points along the default patterns for every
 structure at 2 processes, the stack at 3, and list-flush under a volatile
-cache with every crash point, under ``drop-all`` and ``drop-random``.
+cache with every crash point, with no unflushed write surviving a crash and
+with each surviving with probability 0.5.
 """
 
 import dataclasses
@@ -23,7 +24,6 @@ import hashlib
 import random
 
 from nvtrack.cli import default_workload
-from nvtrack.runtime import CrashPolicy
 from nvtrack.harness import (
     DEFAULT_PATTERNS,
     STRUCTURES,
@@ -102,8 +102,8 @@ def _sweep_corpus():
     for name in STRUCTURES:
         yield name, 2, dict(samples=CRASH_POINTS)
     yield "stack", 3, dict(samples=CRASH_POINTS // 2)
-    for policy in (CrashPolicy(), CrashPolicy("drop-random", 0.5)):
-        yield "list-flush", 2, dict(cache="volatile", policy=policy)
+    for survival in (0.0, 0.5):
+        yield "list-flush", 2, dict(cache="volatile", survival=survival)
 
 
 def _sweeps():

@@ -1,4 +1,4 @@
-"""Cell semantics, crash policies, and the invocation contract."""
+"""Cell semantics, crash survival, and the invocation contract."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +9,6 @@ from nvtrack.runtime import (
     Abandoned,
     CLEAN,
     CrashEvent,
-    CrashPolicy,
-    DispatchError,
     MarkedRef,
     NativeRuntime,
     OpDef,
@@ -111,31 +109,24 @@ def test_private_writes_persist_only_once_flushed():
     assert rt.read(0, c) is True
 
 
-def test_drop_random_policy_is_deterministic():
-    def survivors(seed):
-        rt = SimRuntime(1, cache="volatile",
-                        policy=CrashPolicy("drop-random", survival_prob=0.5),
-                        seed=seed)
-        cells = [rt.new_cell(0) for _ in range(32)]
-        for c in cells:
-            rt.write(0, c, 1)
-        rt.crash()
-        return [c.v for c in cells]
-
-    assert survivors(7) == survivors(7)
-    assert survivors(7) != survivors(8)
-
-
-def test_adversarial_callback_policy():
-    keep = []
-    policy = CrashPolicy("callback", callback=lambda cell: cell in keep)
-    rt = SimRuntime(1, cache="volatile", policy=policy)
-    a, b = rt.new_cell(0), rt.new_cell(0)
-    keep.append(a)
-    rt.write(0, a, 1)
-    rt.write(0, b, 1)
+def _survivors(survival, seed):
+    rt = SimRuntime(1, cache="volatile", survival=survival, seed=seed)
+    cells = [rt.new_cell(0) for _ in range(32)]
+    for c in cells:
+        rt.write(0, c, 1)
     rt.crash()
-    assert a.v == 1 and b.v == 0
+    return [c.v for c in cells]
+
+
+@pytest.mark.parametrize("survival,kept", [(0.5, None), (1.0, [1] * 32),
+                                           (0.0, [0] * 32)],
+                         ids=["half", "all", "none"])
+def test_survival_is_deterministic(survival, kept):
+    assert _survivors(survival, 7) == _survivors(survival, 7)
+    if kept is None:          # seeded draws: another seed keeps other cells
+        assert _survivors(survival, 7) != _survivors(survival, 8)
+    else:                     # no draw: the seed makes no difference
+        assert _survivors(survival, 7) == _survivors(survival, 8) == kept
 
 
 def test_cp_and_rd_survive_crash():
@@ -202,17 +193,6 @@ def test_recovery_invoked_twice_when_second_crash_lands_in_recovery():
     assert ok
     assert calls["recover_args"] == [42, 42]
     assert sum(isinstance(e, RecoverBegin) for e in rt.history) == 2
-
-
-def test_dispatch_on_never_crashed_pid_errors():
-    rt = SimRuntime(2)
-    rt.bind(None)
-    rt.start_workers({0: [], 1: []})
-    try:
-        with pytest.raises(DispatchError):
-            rt.dispatch_recovery(0)
-    finally:
-        rt.close()
 
 
 def test_a_nested_access_takes_its_step_before_the_outer_one():
