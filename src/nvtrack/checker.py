@@ -5,15 +5,15 @@ sequential model, where an operation that crashed occupies the whole interval
 from its invocation to the response produced by its (possibly repeated)
 recovery.  The search is an exhaustive DFS over linearization orders with
 memoized (done-set, model-state) pairs, so a VIOLATION verdict is a real
-counterexample and OK is a real witness order.  Histories above the size cap
-are either decomposed per key (set models) or reported UNCHECKED -- never
-silently passed.
+counterexample and OK is a real witness order.  Histories of more than
+``CAP`` operations are either decomposed per key (set models) or reported
+UNCHECKED -- never silently passed.
 
 Sweeps produce the same operation-level history many times over: crash runs
 that differ only in where the crash fell often fold into the same operation
 records.  ``check_nrl`` therefore keeps a bounded memo of OK verdicts, keyed
-on the model's type and initial state, the size cap and the history's *op
-shape* (:func:`op_shape`): its invocations ``(pid, op, args)``, responses
+on the model's type and initial state and the history's *op shape*
+(:func:`op_shape`): its invocations ``(pid, op, args)``, responses
 ``(pid, type(value), value)`` and abandonments ``(pid,)`` in order, without
 crashes, recovery starts or times.  The memo is exact: ``extract_ops`` reads
 nothing else from a history but event positions, and the search reads those
@@ -272,27 +272,29 @@ def _linearizable(ops: list[OpRecord], model) -> bool:
     return False
 
 
+#: most operations one linearizability search takes (per key, for a set)
+CAP = 24
 #: most OK verdicts ``check_nrl`` keeps; the memo is emptied when it is full
 OK_MEMO_SIZE = 1024
-_ok_memo: dict = {}      # (model type, initial, cap, op shape) -> inconclusive
+_ok_memo: dict = {}      # (model type, initial, op shape) -> inconclusive
 _MEMO_MODELS = (SetModel, StackModel, ExchangeModel)
 
 
-def check_nrl(history: Sequence, model, *, cap: int = 24) -> Verdict:
+def check_nrl(history: Sequence, model) -> Verdict:
     """Crash-extended linearizability verdict for a complete history.
 
     OK verdicts of the built-in models are memoized by op shape (see the
     module docstring); every call returns a fresh ``Verdict``."""
     key = None
     if type(model) in _MEMO_MODELS:
-        key = (type(model), model.initial, cap, op_shape(history))
+        key = (type(model), model.initial, op_shape(history))
         try:
             inconclusive = _ok_memo.get(key)
         except TypeError:                  # an unhashable value: no memo
             key = inconclusive = None
         if inconclusive is not None:
             return Verdict("OK", inconclusive=inconclusive)
-    verdict = _check(extract_ops(history), model, cap)
+    verdict = _check(extract_ops(history), model)
     if key is not None and verdict.ok:
         if len(_ok_memo) >= OK_MEMO_SIZE:
             _ok_memo.clear()
@@ -300,26 +302,26 @@ def check_nrl(history: Sequence, model, *, cap: int = 24) -> Verdict:
     return verdict
 
 
-def _check(ops: list[OpRecord], model, cap: int) -> Verdict:
+def _check(ops: list[OpRecord], model) -> Verdict:
     inconclusive = any(o.abandoned for o in ops)
-    if len(ops) > cap:
+    if len(ops) > CAP:
         if isinstance(model, SetModel):
-            return _check_per_key(ops, model, cap, inconclusive)
-        return Verdict("UNCHECKED", f"{len(ops)} ops exceed cap {cap}",
+            return _check_per_key(ops, model, inconclusive)
+        return Verdict("UNCHECKED", f"{len(ops)} ops exceed cap {CAP}",
                        inconclusive)
     if _linearizable(ops, model):
         return Verdict("OK", inconclusive=inconclusive)
     return Verdict("VIOLATION", _witness(ops), inconclusive)
 
 
-def _check_per_key(ops, model: SetModel, cap: int, inconclusive: bool) -> Verdict:
+def _check_per_key(ops, model: SetModel, inconclusive: bool) -> Verdict:
     groups: dict[Any, list[OpRecord]] = {}
     for rec in ops:
         groups.setdefault(model.decompose_key(rec.op, rec.args), []).append(rec)
     for key, group in groups.items():
-        if len(group) > cap:
+        if len(group) > CAP:
             return Verdict("UNCHECKED",
-                           f"key {key}: {len(group)} ops exceed cap {cap}",
+                           f"key {key}: {len(group)} ops exceed cap {CAP}",
                            inconclusive)
         if not _linearizable(group, model.project(key)):
             return Verdict("VIOLATION", f"key {key}:\n{_witness(group)}",

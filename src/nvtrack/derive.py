@@ -5,20 +5,19 @@ time, by an ``ast`` pass over its source, a generator twin of each function a
 ``SimRuntime`` process reaches.  The twin yields one scheduling point before
 each shared-cell access (a call of a method named in ``ACCESSES``), after the
 access's own arguments are evaluated: ``m.cas(p, c, old, new)`` becomes
-``m.cas(p, c, old, (new, (yield))[0])``, the gate wrapping the last argument
-(the last keyword value, if there is one), and only an access whose last
-argument is ``*x`` or ``**x`` gets ``**((yield) or {})`` appended instead.  So
-``m.write(p, c, m.read(p, d))`` still takes the read step first.  A call of a
-bare name that is not a parameter, local, cell or free variable of the
-function, and that its globals (failing that, builtins) bind at derive time
-to a class or builtin function, is left as it is.  Every other call goes
-through :func:`twin`: a callee with a twin is entered with ``yield from``, any
-other is called as it is.  Lambdas, comprehensions and nested
-``def``/``class`` bodies are not rewritten, and standard-library functions,
-generator functions and functions left with no rewritten call get no twin,
-so an access they make has no scheduling point (``SimRuntime`` raises).  A
-function whose source cannot be read is an error that names it.  Twins keep
-the original file and line numbers.
+``m.cas(p, c, old, (new, (yield))[0])``, the gate wrapping the value of the
+last argument, whether it is positional, a keyword, ``*x`` or ``**x`` (the
+last keyword, if there is one).  So ``m.write(p, c, m.read(p, d))`` still
+takes the read step first.  A call of a bare name that is not a parameter,
+local, cell or free variable of the function, and that its globals (failing
+that, builtins) bind at derive time to a class or builtin function, is left
+as it is.  Every other call goes through :func:`twin`: a callee with a twin
+is entered with ``yield from``, any other is called as it is.  Lambdas,
+comprehensions and nested ``def``/``class`` bodies are not rewritten, and
+standard-library functions, generator functions and functions left with no
+rewritten call get no twin, so an access they make has no scheduling point
+(``SimRuntime`` raises).  A function whose source cannot be read is an
+error that names it.  Twins keep the original file and line numbers.
 """
 
 from __future__ import annotations
@@ -91,14 +90,11 @@ class _Rewrite(ast.NodeTransformer):
         self.generic_visit(node)
         if isinstance(node.func, ast.Attribute) and node.func.attr in ACCESSES:
             self.calls += 1
-            last = (node.keywords or node.args or [None])[-1]
-            if isinstance(last, ast.keyword) and last.arg is not None:
+            last = (node.keywords or node.args)[-1]
+            if isinstance(last, (ast.keyword, ast.Starred)):
                 last.value = _gated(last.value)
-            elif isinstance(last, ast.expr) and not isinstance(last, ast.Starred):
+            else:
                 node.args[-1] = _gated(last)
-            else:                      # f(*x, **((yield) or {}))
-                gate = ast.BoolOp(ast.Or(), [ast.Yield(None), ast.Dict([], [])])
-                node.keywords.append(ast.keyword(None, gate))
             return node
         if isinstance(node.func, ast.Name) and node.func.id not in self.local:
             name = node.func.id

@@ -28,7 +28,9 @@ Starting a recovery takes no step, so the order in which recoveries start
 is unobservable and is not enumerated.  :func:`detectability_sweep`
 bundles that with the crash-extended linearizability and
 strict-recoverability checks; a run whose operation or recovery raises is
-reported as an errored violation instead of aborting the sweep.
+reported as an errored violation instead of aborting the sweep.  To see
+every access of a run, install a ``SimRuntime`` subclass as
+``harness.SimRuntime``, as the tests' step log (``tests/traces.py``) does.
 """
 
 from __future__ import annotations
@@ -287,7 +289,7 @@ def _run(rt: SimRuntime, obj: Any, schedule: Schedule, label: str,
 def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
                  *, setup: Sequence = (), cache: str = "durable",
                  survival: float = 0.0, seed: int = 0, step_budget: int = 10_000,
-                 trace: bool = False, label: str = "") -> RunOutcome:
+                 label: str = "") -> RunOutcome:
     """Execute exactly the given interleaving, then drain to completion.
 
     Each quantum grants up to ``count`` steps to its pid and ends early once
@@ -300,24 +302,27 @@ def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
     An exception raised inside an operation or recovery propagates out of
     this call once every process has been closed."""
     rt, obj = _started_runtime(adapter, workload, setup, cache=cache, survival=survival,
-                               seed=seed, step_budget=step_budget, trace=trace)
+                               seed=seed, step_budget=step_budget)
     return _run(rt, obj, schedule, label)
 
 
 def run_direct(adapter: StructureAdapter, ops: Sequence, *, setup: Sequence = (),
-               cache: str = "durable", survival: float = 0.0, seed: int = 0,
-               step_budget: int = 100_000, crash_steps: Sequence[int] = (),
-               trace: bool = False, label: str = "") -> RunOutcome:
-    """Single-process run on the calling thread, with planned crash steps.
+               cache: str = "durable", seed: int = 0,
+               crash_steps: Sequence[int] = ()) -> RunOutcome:
+    """Single-process run on the calling thread, with planned crash steps
+    (recorded sorted, in firing order).  A crash loses every unflushed write.
 
     An exception raised inside an operation or recovery propagates."""
-    rt, obj = prepared_runtime(adapter, 1, setup, cache=cache, survival=survival,
-                               seed=seed, step_budget=step_budget, trace=trace)
+    # seed has no effect (only a nonzero survival draws from the rng), but
+    # nvbench/verify.py passes it
+    rt, obj = prepared_runtime(adapter, 1, setup, cache=cache, seed=seed,
+                               step_budget=100_000)
+    crashes = tuple(sorted(crash_steps))
     base = rt.steps               # crash indices are relative to the workload
     bound = [(adapter.ops[name], args) for name, args in ops]
-    finished = rt.run_ops_direct(0, bound, [base + c for c in crash_steps])
-    return RunOutcome(rt.history, rt, obj, Schedule(crashes=tuple(crash_steps)),
-                      rt.steps - base, not finished, label)
+    finished = rt.run_ops_direct(0, bound, [base + c for c in crashes])
+    return RunOutcome(rt.history, rt, obj, Schedule(crashes=crashes),
+                      rt.steps - base, not finished)
 
 
 # ---------------------------------------------------------------------------
@@ -480,82 +485,3 @@ def detectability_sweep(adapter: StructureAdapter, workload: dict, *,
                 report.violations.append((outcome.label, extra))
     report.distinct = len(shapes) + len(unhashable)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Trace invariants
-# ---------------------------------------------------------------------------
-
-def write_once(trace, note: str) -> bool:
-    """Each cell wins at most one successful CAS tagged ``note``."""
-    won = set()
-    for kind, _pid, cell, _old, _new, ok, n, _t in trace:
-        if kind == "cas" and n == note and ok:
-            if id(cell) in won:
-                return False
-            won.add(id(cell))
-    return True
-
-
-def unlink_once(trace) -> bool:
-    """Each node is physically unlinked from a live predecessor at most once."""
-    unlinked = set()
-    for kind, _pid, _cell, old, _new, ok, note, _t in trace:
-        if kind == "cas" and note == "unlink" and ok:
-            target = id(old.ref)
-            if target in unlinked:
-                return False
-            unlinked.add(target)
-    return True
-
-
-def link_once_per_node(trace) -> bool:
-    """Each insert's node is linked by at most one successful CAS."""
-    linked = set()
-    for kind, _pid, _cell, _old, new, ok, note, _t in trace:
-        if kind == "cas" and note == "link" and ok:
-            target = id(new.ref)
-            if target in linked:
-                return False
-            linked.add(target)
-    return True
-
-
-def pushed_before_pop(trace) -> bool:
-    """Any node removed by a top CAS had its pushed flag set beforehand."""
-    pushed_at = {}
-    for i, (kind, _pid, cell, old, new, ok, note, _t) in enumerate(trace):
-        if kind == "write" and new is True:
-            pushed_at.setdefault(id(cell), i)
-    for i, (kind, _pid, _cell, old, _new, ok, note, _t) in enumerate(trace):
-        if kind == "cas" and note == "pop" and ok and old is not None:
-            flag = id(old.pushed)
-            if flag not in pushed_at or pushed_at[flag] > i:
-                return False
-    return True
-
-
-def structural_change_once_per_record(trace) -> bool:
-    """Tree records win at most one child-swap CAS despite helpers/crashes."""
-    wins = set()
-    for kind, _pid, _cell, _old, _new, ok, note, _t in trace:
-        if kind == "cas" and ok and note and note.startswith(("ichild:", "dchild:")):
-            if note in wins:
-                return False
-            wins.add(note)
-    return True
-
-
-def result_set_before_unflag(trace) -> bool:
-    """Tree completions write the record's result before unflagging."""
-    result_at = {}
-    for i, (kind, _pid, cell, _old, new, ok, note, _t) in enumerate(trace):
-        if kind == "write" and new is True:
-            result_at.setdefault(id(cell), i)
-    for i, (kind, _pid, _cell, old, new, ok, note, _t) in enumerate(trace):
-        if kind == "cas" and note in ("iunflag", "dunflag") and ok:
-            rec = new.info
-            j = result_at.get(id(rec.result))
-            if j is None or j > i:
-                return False
-    return True

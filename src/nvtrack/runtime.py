@@ -21,7 +21,9 @@ Two backends implement the API:
   every crash fires through another; both driving modes run a process's
   operations through one loop.  A run can be saved between steps, crashed
   and restored, so one crash-free run can serve as the common prefix of many
-  crash runs.
+  crash runs.  The runtime records a run's history and nothing finer: a
+  subclass that overrides the memory API sees every access (the tests'
+  step log, ``tests/traces.py``, is one).
 
 Volatile-cache simulation keeps two values per cell: ``v`` (the cached value)
 and ``p`` (the persisted one).  One rule decides persistence: a write reaches
@@ -284,7 +286,7 @@ class SimRuntime:
 
     def __init__(self, nprocs: int, *, cache: str = "durable",
                  survival: float = 0.0, seed: int = 0,
-                 step_budget: int = 10_000, trace: bool = False) -> None:
+                 step_budget: int = 10_000) -> None:
         if cache not in ("durable", "volatile"):
             raise ValueError(f"unknown cache mode: {cache}")
         self.nprocs = nprocs
@@ -294,7 +296,6 @@ class SimRuntime:
         self.steps = 0
         self.obj: Any = None
         self.history: list = []
-        self.trace: Optional[list] = [] if trace else None
         self._record = True
         self.cp = [Cell(0, True) for _ in range(nprocs)]
         self.rd = [Cell(UNSET, True) for _ in range(nprocs)]
@@ -357,12 +358,9 @@ class SimRuntime:
 
     def write(self, pid: int, cell: Cell, value: Any) -> None:
         self._gate(pid)
-        old = cell.v
         cell.v = value
         if cell.durable:
             cell.p = value
-        if self.trace is not None:
-            self.trace.append(("write", pid, cell, old, value, True, None, self.steps))
 
     def cas(self, pid: int, cell: Cell, expected: Any, new: Any,
             note: Optional[str] = None) -> bool:
@@ -372,27 +370,20 @@ class SimRuntime:
             cell.v = new
             if cell.durable:
                 cell.p = new
-        if self.trace is not None:
-            self.trace.append(("cas", pid, cell, expected, new, ok, note, self.steps))
         return ok
 
     def cas_fetch(self, pid: int, cell: Cell, expected: Any, new: Any) -> Any:
         self._gate(pid)
         old = cell.v
-        ok = old == expected
-        if ok:
+        if old == expected:
             cell.v = new
             if cell.durable:
                 cell.p = new
-        if self.trace is not None:
-            self.trace.append(("cas", pid, cell, expected, new, ok, None, self.steps))
         return old
 
     def flush(self, pid: int, cell: Cell) -> None:
         self._gate(pid)
         cell.p = cell.v
-        if self.trace is not None:
-            self.trace.append(("flush", pid, cell, cell.v, cell.v, True, None, self.steps))
 
     def invoke_reset(self, pid: int) -> None:
         # The runtime resets the checkpoint atomically with invocation; it is
@@ -406,7 +397,7 @@ class SimRuntime:
     def crash(self, survival: Optional[float] = None) -> None:
         """Whole-system crash: every process loses its local state, and each
         unflushed write is lost unless it survives (``survival``, if given,
-        replaces the runtime's probability).
+        replaces the runtime's probability for this crash only).
 
         In process mode every unfinished process restarts on a fresh process
         generator at the operation it was at, in pid order once the cells
@@ -418,8 +409,8 @@ class SimRuntime:
         allocates a cell before its first shared-cell access, so no other
         order could change the history beyond the order of the
         ``RecoverBegin`` events, which all carry the crash's ``t``."""
-        if survival is not None:
-            self.survival = survival
+        if survival is None:
+            survival = self.survival
         crashed = ()
         if self._procs:
             run_ops = derive.twin(self._run_ops)
@@ -437,7 +428,6 @@ class SimRuntime:
                 procs[pid] = run_ops(pid, self._workload[pid], self._park,
                                      self._op_index[pid], pid in crashed)
         self._emit(CrashEvent(self.steps))
-        survival = self.survival
         if survival and self._rng is None:
             self._rng = random.Random(self._seed)
         for cell in self._vcells:
@@ -465,14 +455,13 @@ class SimRuntime:
         reference, since :meth:`crash` leaves them untouched."""
         return (self.steps, None if self._rng is None else self._rng.getstate(),
                 [(c, c.v, c.p) for c in self._cells], len(self._cells),
-                len(self._vcells), None if self.trace is None else len(self.trace),
-                self.history, self._op_steps, self._op_index, self._procs,
-                self._at, self.live)
+                len(self._vcells), self.history, self._op_steps, self._op_index,
+                self._procs, self._at, self.live)
 
     def restore(self, saved: tuple) -> None:
         """Put the run back as :meth:`save` found it, so its paused
         processes can go on; processes started since must be closed first."""
-        (self.steps, rng, values, ncells, nvcells, ntrace, self.history,
+        (self.steps, rng, values, ncells, nvcells, self.history,
          self._op_steps, self._op_index, self._procs, self._at, self.live) = saved
         if rng is None:
             self._rng = None
@@ -482,8 +471,6 @@ class SimRuntime:
             cell.v, cell.p = v, p
         del self._cells[ncells:]
         del self._vcells[nvcells:]
-        if ntrace is not None:
-            del self.trace[ntrace:]
         self._granted = None
 
     # -- operations ---------------------------------------------------------

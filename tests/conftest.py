@@ -41,6 +41,18 @@ def run_threads():
 
 
 @pytest.fixture
+def tracing(monkeypatch):
+    """Make the harness run every structure on ``traces.TracingRuntime``,
+    so each outcome's ``rt.trace`` holds the run's step trace; returns the
+    class, for a test that builds a runtime itself."""
+    from nvtrack import harness
+    from traces import TracingRuntime
+
+    monkeypatch.setattr(harness, "SimRuntime", TracingRuntime)
+    return TracingRuntime
+
+
+@pytest.fixture
 def counting_runtime():
     """A fresh ``SimRuntime`` subclass whose instances all add to the
     class's ``counts``: ``grant_step`` calls ("calls") and the steps they

@@ -108,11 +108,16 @@ def _starred(m, p):
     m.write(p, *m.arg(["c", "v"]))
 
 
+def _double_starred(m, p):
+    m.write(p, **m.arg({"cell": "c", "value": "v"}))
+
+
 @pytest.mark.parametrize("fn, gates", [
     (_cas_with_note, [["c", "e", "n", "note"]]),
     (_nested, [["c", "d"], ["c", "d", ("read", "d")]]),
     (_starred, [[["c", "v"]]]),
-], ids=["keyword", "nested", "starred"])
+    (_double_starred, [[{"cell": "c", "value": "v"}]]),
+], ids=["keyword", "nested", "starred", "double-starred"])
 def test_access_yields_after_every_argument(fn, gates):
     m = Memory()
     assert _run(derive.twin(fn)(m, 0), m)[0] == gates

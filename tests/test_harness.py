@@ -51,6 +51,14 @@ def test_single_pid_schedule_equals_sequential_run():
     assert strip(threaded.history) == strip(direct.history)
 
 
+def test_run_direct_records_its_crashes_sorted():
+    ops = [("insert", (5,)), ("delete", (5,))]
+    given = run_direct(LIST, ops, crash_steps=[9, 2])
+    ordered = run_direct(LIST, ops, crash_steps=[2, 9])
+    assert given.schedule.crashes == ordered.schedule.crashes == (2, 9)
+    assert given.history == ordered.history
+
+
 def test_crash_event_precedes_recover_begin():
     wl = {0: [("insert", (5,))]}
     out = run_schedule(LIST, wl, Schedule(((0, 100),), (3,)))

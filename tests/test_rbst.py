@@ -9,15 +9,14 @@ from nvtrack.harness import (
     Schedule,
     detectability_sweep,
     pattern_quanta,
-    result_set_before_unflag,
     run_direct,
     run_schedule,
-    structural_change_once_per_record,
 )
 from nvtrack.checker import SetModel, check_nrl
 from nvtrack.rbst import INF1, INF2, Internal, InsertInfo, Leaf, RecoverableBst
 from nvtrack.runtime import (
     CLEAN, DFLAG, IFLAG, MARK, NativeRuntime, SimRuntime, UNSET, UpdateWord)
+from traces import result_set_before_unflag, structural_change_once_per_record
 
 BST = STRUCTURES["bst"]
 
@@ -117,10 +116,10 @@ def test_two_inserts_race_both_succeed_on_distinct_keys():
     assert rep.passed, (rep.summary(), rep.violations[:3])
 
 
-def test_insert_crash_at_every_point_applies_once():
+def test_insert_crash_at_every_point_applies_once(tracing):
     probe = run_direct(BST, [("insert", (5,))])
     for c in range(probe.granted):
-        out = run_direct(BST, [("insert", (5,))], crash_steps=[c], trace=True)
+        out = run_direct(BST, [("insert", (5,))], crash_steps=[c])
         assert out.history[-1].value is True
         assert out.obj.snapshot() == {5}
         assert out.obj.well_formed()
@@ -147,13 +146,13 @@ def test_find_recovery_reissues_and_agrees_with_oracle():
         assert out.history[-1].value is True
 
 
-def test_result_written_before_unflag_in_all_schedules():
+def test_result_written_before_unflag_in_all_schedules(tracing):
     wl = {0: [("insert", (3,)), ("delete", (3,))],
           1: [("insert", (4,)), ("delete", (3,))]}
     for pattern in ("rr1", "rr2", "rand0"):
         out = run_schedule(BST, wl,
                            Schedule(pattern_quanta(pattern, 2, 900, seed=6)),
-                           trace=True, step_budget=500)
+                           step_budget=500)
         assert result_set_before_unflag(out.rt.trace)
         assert check_nrl(out.history, SetModel()).ok
 
@@ -179,13 +178,13 @@ def _legal_word_transitions(trace):
     return True
 
 
-def test_update_word_state_machine_is_legal():
+def test_update_word_state_machine_is_legal(tracing):
     wl = {0: [("insert", (3,)), ("delete", (3,))],
           1: [("delete", (3,)), ("insert", (4,))]}
     for pattern in ("rr1", "rand1"):
         out = run_schedule(BST, wl,
                            Schedule(pattern_quanta(pattern, 2, 900, seed=8)),
-                           trace=True, step_budget=500)
+                           step_budget=500)
         assert _legal_word_transitions(out.rt.trace)
         assert structural_change_once_per_record(out.rt.trace)
 

@@ -9,16 +9,14 @@ from nvtrack.harness import (
     STRUCTURES,
     Schedule,
     detectability_sweep,
-    link_once_per_node,
     pattern_quanta,
     run_direct,
     run_schedule,
-    unlink_once,
-    write_once,
 )
 from nvtrack.checker import SetModel, check_nrl
 from nvtrack.rlist import KEY_MAX, KEY_MIN, PersistedRef, RecoverableList
 from nvtrack.runtime import MarkedRef, NativeRuntime, SimRuntime, UNSET
+from traces import link_once_per_node, unlink_once, write_once
 
 LIST = STRUCTURES["list"]
 FLUSH_LIST = STRUCTURES["list-flush"]
@@ -97,10 +95,10 @@ def test_deleter_recorded_for_winner():
     assert info.nd.v.deleter.v == 2
 
 
-def test_insert_crash_at_every_point_yields_true_and_single_copy():
+def test_insert_crash_at_every_point_yields_true_and_single_copy(tracing):
     probe = run_direct(LIST, [("insert", (5,))])
     for c in range(probe.granted):
-        out = run_direct(LIST, [("insert", (5,))], crash_steps=[c], trace=True)
+        out = run_direct(LIST, [("insert", (5,))], crash_steps=[c])
         assert out.obj.snapshot() == {5}
         assert check_nrl(out.history, SetModel()).ok
         resp = out.history[-1]
@@ -119,12 +117,11 @@ def test_delete_crash_at_every_point_matches_oracle():
         assert check_nrl(out.history, SetModel({5})).ok
 
 
-def test_recover_after_persisted_result_issues_no_new_link_cas():
-    probe = run_direct(LIST, [("insert", (5,))], trace=True)
+def test_recover_after_persisted_result_issues_no_new_link_cas(tracing):
+    probe = run_direct(LIST, [("insert", (5,))])
     total = probe.granted
     # crash at the very last step (the response was already persisted)
-    out = run_direct(LIST, [("insert", (5,))], crash_steps=[total - 1],
-                     trace=True)
+    out = run_direct(LIST, [("insert", (5,))], crash_steps=[total - 1])
     links = [e for e in out.rt.trace if e[0] == "cas" and e[6] == "link" and e[5]]
     assert len(links) == 1
     assert out.history[-1].value is True
@@ -167,13 +164,12 @@ def _exactly_one_true(out):
     return None
 
 
-def test_trace_invariants_over_contended_schedules():
+def test_trace_invariants_over_contended_schedules(tracing):
     wl = {0: [("insert", (5,)), ("delete", (5,))],
           1: [("delete", (5,)), ("insert", (5,))]}
     for pattern in ("rr1", "rr2", "rand0"):
         quanta = pattern_quanta(pattern, 2, 800, seed=5)
-        out = run_schedule(LIST, wl, Schedule(quanta), trace=True,
-                           setup=(("insert", (3,)),))
+        out = run_schedule(LIST, wl, Schedule(quanta), setup=(("insert", (3,)),))
         trace = out.rt.trace
         assert write_once(trace, "mark")
         assert write_once(trace, "deleter")
@@ -233,7 +229,7 @@ def test_flush_init_persists_sentinels():
     assert lst.find(0, 5) is False
 
 
-def test_traversal_persists_unflushed_nodes_it_passes():
+def test_traversal_persists_unflushed_nodes_it_passes(tracing):
     # pause the inserter right after its link CAS: a concurrent reader walking
     # past the new node must flush the inbound link, then flag it with a CAS
     wl = {0: [("insert", (5,))], 1: [("find", (7,))]}
@@ -241,8 +237,7 @@ def test_traversal_persists_unflushed_nodes_it_passes():
     for head in range(1, 14):
         quanta = ((0, head), (1, 200), (0, 200))
         out = run_schedule(FLUSH_LIST, wl, Schedule(quanta),
-                           setup=(("insert", (7,)),), cache="volatile",
-                           trace=True)
+                           setup=(("insert", (7,)),), cache="volatile")
         r = {(e.pid, e.op): e.value for e in out.history if hasattr(e, "value")}
         assert r[(0, "insert")] is True and r[(1, "find")] is True
         reader = [e for e in out.rt.trace if e[1] == 1]
@@ -254,10 +249,10 @@ def test_traversal_persists_unflushed_nodes_it_passes():
     assert saw_reader_flag
 
 
-def test_second_find_over_unchanged_flush_list_makes_no_flush_or_cas():
+def test_second_find_over_unchanged_flush_list_makes_no_flush_or_cas(tracing):
     steps = {}
     for fp in (False, True):
-        rt = SimRuntime(1, cache="volatile" if fp else "durable", trace=True)
+        rt = tracing(1, cache="volatile" if fp else "durable")
         lst = RecoverableList(rt, flush_protocol=fp)
         for k in (3, 5, 9):
             lst.insert(0, k)

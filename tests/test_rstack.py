@@ -12,7 +12,6 @@ from nvtrack.harness import (
     StructureAdapter,
     detectability_sweep,
     pattern_quanta,
-    pushed_before_pop,
     run_direct,
     run_schedule,
 )
@@ -21,6 +20,7 @@ from nvtrack.rstack import BaselineStack, CentralInfo, EliminationStack, StackNo
 from nvtrack.rexchanger import ExchangeInfo
 from nvtrack.runtime import (
     CrashEvent, EMPTY, NULL, NativeRuntime, OpDef, REINVOKE, SimRuntime, TIMEOUT, UNSET)
+from traces import pushed_before_pop
 
 STACK = STRUCTURES["stack"]
 
@@ -172,12 +172,12 @@ def test_two_poppers_exactly_one_gets_the_value():
     assert rep.passed, (rep.summary(), rep.violations[:3])
 
 
-def test_pushed_is_set_before_any_pop_cas():
+def test_pushed_is_set_before_any_pop_cas(tracing):
     wl = {0: [("push", (1,)), ("pop", ())], 1: [("push", (2,)), ("pop", ())]}
     for pattern in ("rr1", "rand0"):
         out = run_schedule(STACK, wl,
                            Schedule(pattern_quanta(pattern, 2, 800, seed=4)),
-                           trace=True, step_budget=500)
+                           step_budget=500)
         assert pushed_before_pop(out.rt.trace)
 
 
@@ -234,7 +234,7 @@ def _sweep_retry(wl, setup, initial, head, steps, check_final):
     # finishes, so pid 0 loses its CAS, waits alone in the elimination layer
     # until it times out, and retries centrally
     quanta = ((0, head), (1, 200), (0, 400))
-    probe = run_schedule(STACK, wl, Schedule(quanta), setup=setup, trace=True)
+    probe = run_schedule(STACK, wl, Schedule(quanta), setup=setup)
     cas = [(note, ok) for kind, p, _, _, _, ok, note, _ in _workload_trace(probe)
            if kind == "cas" and p == 0 and note in ("push", "pop")]
     assert cas == [(wl[0][0][0], False), (wl[0][0][0], True)]
@@ -248,7 +248,7 @@ def _sweep_retry(wl, setup, initial, head, steps, check_final):
         check_final(out)
 
 
-def test_push_retry_after_elimination_timeout_survives_every_crash():
+def test_push_retry_after_elimination_timeout_survives_every_crash(tracing):
     def check_final(out):
         assert sorted(out.obj.snapshot()) == [10, 20]
     # pid 0 stops after reading top and writing rd and cp; its retry reads
@@ -257,7 +257,7 @@ def test_push_retry_after_elimination_timeout_survives_every_crash():
                  3, 3, check_final)
 
 
-def test_pop_retry_after_elimination_timeout_survives_every_crash():
+def test_pop_retry_after_elimination_timeout_survives_every_crash(tracing):
     def check_final(out):
         values = [e.value for e in out.history if hasattr(e, "value")]
         assert sorted(values) == [77, 78] and out.obj.snapshot() == []

@@ -129,6 +129,18 @@ def test_survival_is_deterministic(survival, kept):
         assert _survivors(survival, 7) == _survivors(survival, 8) == kept
 
 
+def test_crash_survival_argument_holds_for_that_crash_only():
+    rt = SimRuntime(1, cache="volatile")
+    c = rt.new_cell(0)
+    rt.write(0, c, 1)
+    rt.crash(1.0)
+    assert rt.read(0, c) == 1         # the unflushed write survived
+    rt.write(0, c, 2)
+    rt.crash()
+    assert rt.read(0, c) == 1         # the runtime's survival 0 again
+    assert rt.survival == 0.0
+
+
 def test_cp_and_rd_survive_crash():
     rt = SimRuntime(1, cache="volatile")
     rt.write(0, rt.cp[0], 1)
