@@ -12,8 +12,7 @@ import argparse
 import sys
 
 from nvtrack.cli import main as cli_main
-
-STRUCTURES = ["list", "list-flush", "stack", "bst", "exchanger", "exchanger-timed"]
+from nvtrack.harness import STRUCTURES
 
 
 def main() -> int:

@@ -10,10 +10,15 @@ on the calling thread, where each process is a generator that
 that has not finished (one still in ``SimRuntime.live``): the rest of a
 finished process's quantum is skipped, which changes no history, since such
 a grant would do nothing.  Once the planned quanta are exhausted, a
-round-robin drain runs every live process to completion, so histories are
-complete unless an operation blows its step budget (reported inconclusive).
-That driver loop is a generator that stops wherever a crash falls due, so
-it can be resumed from any crash point.
+round-robin drain runs every live process to completion.  The drain needs
+no step limit of its own: each operation attempt is bounded by the
+runtime's ``step_budget`` and a schedule has finitely many crashes, so
+every process finishes, with all its operations completed or at one that
+exhausted its budget and recorded ``Abandoned``.  A run is inconclusive
+exactly when its history holds an ``Abandoned`` event; a sweep also counts
+as inconclusive a history the checker could not check (see
+``checker.CAP``).  That driver loop is a generator that stops wherever a
+crash falls due, so it can be resumed from any crash point.
 
 :func:`enumerate_crash_points` systematizes crash placement: for each base
 interleaving pattern it probes the crash-free run length, then runs the
@@ -51,7 +56,8 @@ from .checker import (
     check_strict_recoverability,
     op_shape,
 )
-from .runtime import OpDef, REINVOKE, SimRuntime, StepBudgetExceeded, UNSET
+from .runtime import (Abandoned, OpDef, REINVOKE, SimRuntime,
+                      StepBudgetExceeded, UNSET)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +66,6 @@ from .runtime import OpDef, REINVOKE, SimRuntime, StepBudgetExceeded, UNSET
 
 @dataclass(frozen=True)
 class StructureAdapter:
-    name: str
     make: Callable[[SimRuntime], Any]
     ops: dict
     model: Callable[..., Any]
@@ -123,21 +128,20 @@ TIMED_EXCHANGER_OPS = {
 
 STRUCTURES = {
     "list": StructureAdapter(
-        "list", lambda rt: rlist.RecoverableList(rt), LIST_OPS, SetModel),
+        lambda rt: rlist.RecoverableList(rt), LIST_OPS, SetModel),
     "list-flush": StructureAdapter(
-        "list-flush", lambda rt: rlist.RecoverableList(rt, flush_protocol=True),
+        lambda rt: rlist.RecoverableList(rt, flush_protocol=True),
         LIST_OPS, SetModel),
     "stack": StructureAdapter(
-        "stack",
         lambda rt: rstack.EliminationStack(rt, slots=4, exchange_wait=24),
         STACK_OPS, StackModel, strict_exempt=()),
     "bst": StructureAdapter(
-        "bst", lambda rt: rbst.RecoverableBst(rt), BST_OPS, SetModel),
+        lambda rt: rbst.RecoverableBst(rt), BST_OPS, SetModel),
     "exchanger": StructureAdapter(
-        "exchanger", lambda rt: rexchanger.Exchanger(rt), EXCHANGER_OPS,
+        lambda rt: rexchanger.Exchanger(rt), EXCHANGER_OPS,
         ExchangeModel, strict_exempt=()),
     "exchanger-timed": StructureAdapter(
-        "exchanger-timed", _make_timed_exchanger, TIMED_EXCHANGER_OPS,
+        _make_timed_exchanger, TIMED_EXCHANGER_OPS,
         ExchangeModel, strict_exempt=("exchange",)),
 }
 
@@ -187,14 +191,22 @@ DEFAULT_PATTERNS = ("rr1", "rr2", "block", "rand0", "rand1")
 
 @dataclass
 class RunOutcome:
+    """One run, in which every process ran to its end."""
+
     history: list
     rt: SimRuntime
     obj: Any
     schedule: Schedule
     granted: int
-    inconclusive: bool
     label: str = ""
     error: str = ""          # traceback of an exception the run raised
+
+    @property
+    def inconclusive(self) -> bool:
+        """Some operation exhausted its step budget.  A process ends
+        abandoned exactly when its operation records ``Abandoned``, and a
+        crash keeps the history, so the history alone decides this."""
+        return any(type(e) is Abandoned for e in self.history)
 
 
 def prepared_runtime(adapter: StructureAdapter, nprocs: int, setup: Sequence,
@@ -225,21 +237,24 @@ def _started_runtime(adapter: StructureAdapter, workload: dict, setup: Sequence,
     return rt, obj
 
 
-def _drive(rt: SimRuntime, quanta: tuple, crashes: list, at: tuple = (0, 0, 0, 0)):
+def _drive(rt: SimRuntime, quanta: tuple, crashes: list, at: tuple = (0, 0, 0)):
     """The driver loop, a generator resumable at any crash point.
 
-    From position ``at`` = (quantum index, entry index, steps granted, drain
-    spins) it grants the rest of ``quanta`` and then drains.  Before each
-    quantum entry and each drain round at which the first of ``crashes`` is
-    due, it yields its position; the caller pops and fires the due crashes
-    (or branches there) before resuming it.  Returns the steps granted."""
-    qi, j, granted, spins = at
+    From position ``at`` = (quantum index, entry index, steps granted) it
+    grants the rest of ``quanta`` and then drains round-robin until every
+    process has finished.  Each drain round moves every live process on:
+    one paused at a gate takes its step, and one paused before an operation
+    starts it or finishes.  Before each quantum entry and each drain round
+    at which the first of ``crashes`` is due, it yields its position; the
+    caller pops and fires the due crashes (or branches there) before
+    resuming it.  Returns the steps granted."""
+    qi, j, granted = at
     live = rt.live
     for qi in range(qi, len(quanta)):
         pid, count = quanta[qi]
         for j in range(j, count):
             if crashes and crashes[0] <= granted:
-                yield qi, j, granted, spins
+                yield qi, j, granted
                 live = rt.live            # a crash replaces it
             if pid not in live:
                 break
@@ -249,24 +264,17 @@ def _drive(rt: SimRuntime, quanta: tuple, crashes: list, at: tuple = (0, 0, 0, 0
         if not live and not crashes:
             break
     # drain: stop at leftover crashes and finish round-robin
-    cap = rt.step_budget * rt.nprocs * 3 + 1024
-    while live and spins < cap:
+    while live:
         if crashes and crashes[0] <= granted:
-            yield len(quanta), 0, granted, spins
+            yield len(quanta), 0, granted
             live = rt.live
-        progressed = False
         for pid in sorted(live):
-            if rt.grant_step(pid):
-                granted += 1
-                progressed = True
-                spins += 1
-        if not progressed:
-            break
+            granted += rt.grant_step(pid)
     return granted
 
 
 def _run(rt: SimRuntime, obj: Any, schedule: Schedule, label: str,
-         at: tuple = (0, 0, 0, 0)) -> RunOutcome:
+         at: tuple = (0, 0, 0)) -> RunOutcome:
     """Run ``schedule`` on ``rt``'s started processes from ``_drive``
     position ``at`` to its end, firing each crash once it is due, then close
     every process.  An exception the run raises propagates after that."""
@@ -278,7 +286,7 @@ def _run(rt: SimRuntime, obj: Any, schedule: Schedule, label: str,
                 granted = next(drive)[2]
             except StopIteration as stop:
                 return RunOutcome(rt.history, rt, obj, schedule, stop.value,
-                                  rt.inconclusive() or bool(rt.live), label)
+                                  label)
             while crashes and crashes[0] <= granted:
                 crashes.pop(0)
                 rt.crash()
@@ -320,9 +328,9 @@ def run_direct(adapter: StructureAdapter, ops: Sequence, *, setup: Sequence = ()
     crashes = tuple(sorted(crash_steps))
     base = rt.steps               # crash indices are relative to the workload
     bound = [(adapter.ops[name], args) for name, args in ops]
-    finished = rt.run_ops_direct(0, bound, [base + c for c in crashes])
+    rt.run_ops_direct(0, bound, [base + c for c in crashes])
     return RunOutcome(rt.history, rt, obj, Schedule(crashes=crashes),
-                      rt.steps - base, not finished)
+                      rt.steps - base)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +339,7 @@ def run_direct(adapter: StructureAdapter, ops: Sequence, *, setup: Sequence = ()
 
 def _errored(schedule: Schedule, label: str) -> RunOutcome:
     """The outcome of a run that raised the exception being handled."""
-    return RunOutcome([], None, None, schedule, 0, False, label,
+    return RunOutcome([], None, None, schedule, 0, label,
                       error=traceback.format_exc())
 
 
@@ -451,7 +459,9 @@ def detectability_sweep(adapter: StructureAdapter, workload: dict, *,
                         check_responses: Optional[Callable] = None,
                         **enum_kwargs) -> SweepReport:
     """Enumerate crash placements and check every history; a run that
-    raised is counted as a violation labelled ``[errored]``."""
+    raised is counted as a violation labelled ``[errored]``, and one whose
+    verdict is inconclusive (an abandoned operation, or a history the
+    checker could not check) is never counted ok."""
     report = SweepReport()
     shapes, unhashable = set(), []
     for outcome in enumerate_crash_points(adapter, workload, setup=setup,
@@ -471,7 +481,7 @@ def detectability_sweep(adapter: StructureAdapter, workload: dict, *,
         verdict = check_nrl(outcome.history, model)
         if verdict.status == "VIOLATION":
             report.violations.append((outcome.label, verdict.detail))
-        elif outcome.inconclusive or verdict.inconclusive:
+        elif verdict.inconclusive:
             report.inconclusive += 1
         else:
             report.ok += 1

@@ -261,8 +261,7 @@ class StepBudgetExceeded(Exception):
 
 # Where a process stopped: derived code yields _GATE (None) at a scheduling
 # point, and ``SimRuntime._park`` yields _START before an operation.
-_GATE, _START = None, "start"
-_DONE, _ABANDONED = "done", "abandoned"
+_GATE, _START, _DONE = None, "start", "done"
 
 
 class SimRuntime:
@@ -584,14 +583,14 @@ class SimRuntime:
         yield _START
 
     def _advance(self, pid: int) -> None:
-        """Run ``pid`` to its next yield.  An exception its operation raises
-        propagates."""
+        """Run ``pid`` to its next yield; a process that finishes leaves
+        ``live``.  An exception its operation raises ends the process (it
+        stays ``_DONE``) and propagates."""
         at = self._at
         at[pid] = _DONE
         try:
             at[pid] = next(self._procs[pid])
-        except StopIteration as stop:
-            at[pid] = _DONE if stop.value else _ABANDONED
+        except StopIteration:
             self.live.discard(pid)
 
     def grant_step(self, pid: int) -> bool:
@@ -602,12 +601,7 @@ class SimRuntime:
         if at[pid] is not _GATE:
             return False
         self._granted = pid
-        at[pid] = _DONE                      # if the step raises, it ends here
-        try:
-            at[pid] = next(self._procs[pid])
-        except StopIteration as stop:
-            at[pid] = _DONE if stop.value else _ABANDONED
-            self.live.discard(pid)
+        self._advance(pid)
         if self._granted is not None:
             raise RuntimeError(f"process {pid} passed a scheduling point "
                                "without a shared-cell access")
@@ -616,9 +610,6 @@ class SimRuntime:
     def dispatch_recovery(self, pid: int) -> None:
         """Start a crashed process's recovery; it runs to its first gate."""
         self._advance(pid)
-
-    def inconclusive(self) -> bool:
-        return _ABANDONED in self._at
 
     def close(self) -> None:
         """Close every process (one paused mid-operation unwinds from its

@@ -29,20 +29,18 @@ STEP_BUDGET = 600
 PIDS = {"list": 2, "bst": 2, "stack": 3}
 
 
-def _adapter(name, cls, queries, updates, model, make=None):
+def _adapter(cls, queries, updates, model, make=None):
     ops = {op: OpDef(op, getattr(cls, op), getattr(cls, op), is_update=False)
            for op in queries}
     ops.update({op: OpDef(op, getattr(cls, op), getattr(cls, op))
                 for op in updates})
-    return StructureAdapter(name, make or cls, ops, model)
+    return StructureAdapter(make or cls, ops, model)
 
 
 BASELINES = {
-    "list": _adapter("list", BaselineList, ("find",), ("insert", "delete"),
-                     SetModel),
-    "bst": _adapter("bst", BaselineBst, ("contains",), ("insert", "delete"),
-                    SetModel),
-    "stack": _adapter("stack", BaselineStack, (), ("push", "pop"), StackModel,
+    "list": _adapter(BaselineList, ("find",), ("insert", "delete"), SetModel),
+    "bst": _adapter(BaselineBst, ("contains",), ("insert", "delete"), SetModel),
+    "stack": _adapter(BaselineStack, (), ("push", "pop"), StackModel,
                       make=lambda rt: BaselineStack(rt, slots=1, exchange_wait=24)),
 }
 

@@ -173,7 +173,8 @@ def test_oversized_non_set_history_reports_unchecked():
         events.append(Invoke(t, 0, "push", (i,)))
         events.append(Response(t + 1, 0, "push", True))
         t += 2
-    assert check_nrl(events, StackModel()).status == "UNCHECKED"
+    v = check_nrl(events, StackModel())
+    assert v.status == "UNCHECKED" and v.inconclusive
 
 
 def test_extract_ops_folds_recovery_into_one_interval():
@@ -256,9 +257,8 @@ def test_sweep_catches_seeded_arbitration_bug():
         "delete": OpDef("delete", _BrokenArbitrationList.delete,
                         _BrokenArbitrationList.delete_recover),
     }
-    adapter = StructureAdapter("broken-list",
-                               lambda rt: _BrokenArbitrationList(rt),
-                               ops, SetModel)
+    adapter = StructureAdapter(lambda rt: _BrokenArbitrationList(rt), ops,
+                               SetModel)
     rep = detectability_sweep(
         adapter, {0: [("delete", (5,))], 1: [("delete", (5,))]},
         setup=(("insert", (5,)),), model_initial={5}, seed=1, step_budget=400)

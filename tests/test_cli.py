@@ -128,6 +128,16 @@ def test_verify_counts_a_workload_op_out_of_budget_as_inconclusive(capsys):
     assert " 0 ok, 5 inconclusive, 0 linearizability violations" in out
 
 
+def test_verify_counts_a_history_over_the_checker_cap_as_inconclusive(capsys):
+    # 26 stack operations exceed checker.CAP, so no history can be checked
+    rc = main(["verify", "--structure", "stack", "--pids", "2",
+               "--ops-per-pid", "13", "--samples", "3"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("FAIL stack.detectability: 20 runs ")
+    assert " 0 ok, 20 inconclusive, 0 linearizability violations" in out
+
+
 def test_python_dash_m_nvtrack_runs_the_cli():
     src = os.path.dirname(os.path.dirname(os.path.abspath(nvtrack.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -84,6 +84,19 @@ def test_step_budget_exhaustion_marks_run_inconclusive():
     assert any(isinstance(e, Abandoned) for e in out.history)
 
 
+def test_drain_runs_every_process_to_completion():
+    # each find walks 500 keys in about 500 steps, within its budget of 600,
+    # so the run is long but no operation is abandoned
+    keys = 500
+    setup = tuple(("insert", (k,)) for k in range(1, keys + 1))
+    wl = {pid: [("find", (keys + 1 + pid,))] * 6 for pid in range(2)}
+    out = run_schedule(LIST, wl, Schedule(pattern_quanta("rr1", 2, 1200)),
+                       setup=setup, step_budget=600)
+    assert [e.value for e in out.history if isinstance(e, Response)] \
+        == [False] * 12
+    assert not out.inconclusive
+
+
 def test_setup_ops_do_not_appear_in_history():
     out = run_direct(LIST, [("find", (5,))], setup=(("insert", (5,)),))
     assert [type(e).__name__ for e in out.history] == ["Invoke", "Response"]

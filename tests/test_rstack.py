@@ -77,7 +77,7 @@ def test_try_push_contended_loss_leaves_no_trace_of_loser():
         "try_push": OpDef("try_push", one_try_push, one_try_push),
         "push": STACK.ops["push"],
     }
-    adapter = StructureAdapter("stack-once", STACK.make, ops, StackModel,
+    adapter = StructureAdapter(STACK.make, ops, StackModel,
                                strict_exempt=("try_push",))
     wl = {0: [("try_push", (10,))], 1: [("push", (20,))]}
     outcomes = set()
@@ -104,7 +104,7 @@ def test_elimination_collision_pairs_push_with_pop():
         return obj.visit(pid, value, 1, 64)
 
     ops = {"visit": OpDef("visit", visit_op, visit_op)}
-    adapter = StructureAdapter("stack-visit", STACK.make, ops, StackModel,
+    adapter = StructureAdapter(STACK.make, ops, StackModel,
                                strict_exempt=("visit",))
     wl = {0: [("visit", (10,))], 1: [("visit", (NULL,))]}
     out = run_schedule(adapter, wl, Schedule(pattern_quanta("rr1", 2, 400)))

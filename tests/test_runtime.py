@@ -266,7 +266,7 @@ def test_nested_reinvocation_resets_checkpoint_again():
 
 
 def test_a_crash_inside_a_reinvoked_call_recovers_again():
-    adapter = StructureAdapter("rerun", _Rerun, {"op": _RERUN_OP}, model=None)
+    adapter = StructureAdapter(_Rerun, {"op": _RERUN_OP}, model=None)
     # crashes after the first run's cp write, then after the re-run's (the
     # recovery's read of cp is step 2)
     out = run_schedule(adapter, {0: [("op", (7,))]},
