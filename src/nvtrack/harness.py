@@ -206,7 +206,7 @@ class RunOutcome:
         """Some operation exhausted its step budget.  A process ends
         abandoned exactly when its operation records ``Abandoned``, and a
         crash keeps the history, so the history alone decides this."""
-        return any(type(e) is Abandoned for e in self.history)
+        return Abandoned in map(type, self.history)
 
 
 def prepared_runtime(adapter: StructureAdapter, nprocs: int, setup: Sequence,

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .runtime import (CLEAN, DFLAG, IFLAG, MARK, REINVOKE, InfoRecord, UNSET,
-                      UpdateWord)
+from .runtime import (CLEAN, DFLAG, IFLAG, MARK, REINVOKE, InfoRecord, Structure,
+                      UNSET, UpdateWord)
 
 INF2 = 2 ** 63 - 1
 INF1 = 2 ** 63 - 2   # user keys must be strictly below INF1
@@ -71,7 +71,7 @@ class DeleteInfo(InfoRecord):
         self.result = m.new_cell(result)
 
 
-class BaselineBst:
+class BaselineBst(Structure):
     """Non-recoverable flag/mark BST; keys below INF1, INF1/INF2 reserved."""
 
     def __init__(self, m):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from .runtime import REINVOKE, InfoRecord, TIMEOUT, UNSET
+from .runtime import REINVOKE, InfoRecord, Structure, TIMEOUT, UNSET
 
 EX_EMPTY, EX_WAITING, EX_BUSY = 0, 1, 2
 
@@ -48,7 +48,7 @@ def switch_pair(m, p, first: ExchangeInfo, second: ExchangeInfo) -> None:
     m.write(p, second.result, first.value)
 
 
-class TimedExchanger:
+class TimedExchanger(Structure):
     """One elimination-array entry; exchanges give up after ``timeout``."""
 
     def __init__(self, m, default: ExchangeInfo):

@@ -27,7 +27,7 @@ deleter write is flushed immediately.
 
 from __future__ import annotations
 
-from .runtime import REINVOKE, InfoRecord, MarkedRef, UNSET
+from .runtime import REINVOKE, InfoRecord, MarkedRef, Structure, UNSET
 
 KEY_MIN = -(2 ** 63)
 KEY_MAX = 2 ** 63 - 1
@@ -41,7 +41,7 @@ class BaselineNode:
         self.next = m.new_cell(MarkedRef(succ, False))
 
 
-class BaselineList:
+class BaselineList(Structure):
     """Non-recoverable sorted list set (benchmark baseline)."""
 
     def __init__(self, m):

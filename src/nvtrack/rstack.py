@@ -46,7 +46,8 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .rexchanger import EX_BUSY, EX_EMPTY, EX_WAITING, ExchangeInfo, TimedExchanger
-from .runtime import EMPTY, REINVOKE, InfoRecord, NULL, RETRY, TIMEOUT, UNSET
+from .runtime import (EMPTY, REINVOKE, InfoRecord, NULL, RETRY, Structure, TIMEOUT,
+                      UNSET)
 
 
 class StackNode:
@@ -71,7 +72,7 @@ class CentralInfo(InfoRecord):
         self.result = m.new_cell(result)
 
 
-class EliminationStack:
+class EliminationStack(Structure):
     """LIFO stack of word-sized payloads (NULL/EMPTY/UNSET are reserved)."""
 
     def __init__(self, m, *, slots: int = 16, exchange_wait: Optional[int] = None,
@@ -239,7 +240,7 @@ class _BaseNode:
         self.next = m.new_cell(None)
 
 
-class BaselineStack:
+class BaselineStack(Structure):
     """Non-recoverable elimination stack (benchmark baseline).
 
     Same central-stack/elimination split, but exchanges plain values: a slot

@@ -7,7 +7,13 @@ and its recovery-data reference ``m.rd[pid]`` (the paper's CP_p and RD_p).
 Two backends implement the API:
 
 * :class:`NativeRuntime` -- plain objects and real threads, no crash
-  injection, every CAS under one lock; used by the benchmark CLI.
+  injection, every CAS under one lock; used by the benchmark CLI.  Its
+  ``read``, ``write`` and ``flush`` only move a cell's values, so a
+  structure built on it runs a native variant of its methods (see
+  :class:`Structure` and ``derive.inlined``) that does the same to the cell
+  without the call; ``cas`` and ``cas_fetch`` stay calls.  The methods
+  remain for subclasses and direct callers: a subclass that overrides any
+  of the three opts out, and its structures call every access.
 * :class:`SimRuntime` -- a cooperative single-stepping backend where every
   shared-cell access is a scheduling point.  Each logical process is a
   generator (see ``derive``) run on the caller's thread; a deterministic
@@ -245,6 +251,26 @@ class NativeRuntime:
     @property
     def default_exchange_wait(self) -> int:
         return 30_000  # nanoseconds
+
+
+class Structure:
+    """The root of every structure class, which picks how its code runs.
+
+    A structure built on a runtime whose class keeps ``NativeRuntime``'s own
+    ``read``, ``write`` and ``flush`` is an instance of the class's native
+    variant, ``derive.inlined(cls)``: its methods do what those three do to
+    the cell in place of calling them.  On any other runtime (``SimRuntime``,
+    or a subclass that overrides one of the three to observe it) it is an
+    instance of the class itself, so every access reaches the runtime.
+    """
+
+    def __new__(cls, m, *args, **kwargs):
+        rt = type(m)
+        if (getattr(rt, "read", None) is NativeRuntime.read
+                and getattr(rt, "write", None) is NativeRuntime.write
+                and getattr(rt, "flush", None) is NativeRuntime.flush):
+            cls = derive.inlined(cls)
+        return object.__new__(cls)
 
 
 # ---------------------------------------------------------------------------
