@@ -216,18 +216,14 @@ def _parse(lines: list, start: int, failure: str, name: str) -> ast.FunctionDef:
 
 
 def _compile(node: ast.FunctionDef, code, params: tuple = ()):
-    """The code of function ``node``, whose original code is ``code``; if
-    it has free variables (``params``, then ``code``'s own), compiled nested
-    in a factory whose parameters they are."""
-    params += code.co_freevars
-    if params:
-        outer = ast.parse(f"def _factory({', '.join(params)}): pass")
-        outer.body[0].body = [node]
-        module_code = compile(outer, code.co_filename, "exec")
-        [outer_code] = [c for c in module_code.co_consts if isinstance(c, types.CodeType)]
-    else:
-        outer_code = compile(ast.Module([node], []), code.co_filename, "exec")
-    return next(c for c in outer_code.co_consts
+    """The code of function ``node``, whose original code is ``code``,
+    compiled nested in a factory whose parameters (``params``, then
+    ``code``'s free variables) become its free variables."""
+    outer = ast.parse(f"def _factory({', '.join(params + code.co_freevars)}): pass")
+    outer.body[0].body = [node]
+    module_code = compile(outer, code.co_filename, "exec")
+    [factory] = [c for c in module_code.co_consts if isinstance(c, types.CodeType)]
+    return next(c for c in factory.co_consts
                 if isinstance(c, types.CodeType) and c.co_name == node.name)
 
 

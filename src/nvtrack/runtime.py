@@ -266,9 +266,8 @@ class Structure:
 
     def __new__(cls, m, *args, **kwargs):
         rt = type(m)
-        if (getattr(rt, "read", None) is NativeRuntime.read
-                and getattr(rt, "write", None) is NativeRuntime.write
-                and getattr(rt, "flush", None) is NativeRuntime.flush):
+        if (rt.read is NativeRuntime.read and rt.write is NativeRuntime.write
+                and rt.flush is NativeRuntime.flush):
             cls = derive.inlined(cls)
         return object.__new__(cls)
 
