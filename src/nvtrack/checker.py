@@ -5,11 +5,12 @@ sequential model, where an operation that crashed occupies the whole interval
 from its invocation to the response produced by its (possibly repeated)
 recovery.  The search is an exhaustive DFS over linearization orders with
 memoized (done-set, model-state) pairs, so a VIOLATION verdict is a real
-counterexample and OK is a real witness order.  Histories of more than
-``CAP`` operations are either decomposed per key (set models) or reported
-UNCHECKED, which is inconclusive -- never silently passed.  A verdict is
-inconclusive when it is UNCHECKED or when some operation was abandoned
-(exhausted its step budget); a sweep counts no inconclusive verdict ok.
+counterexample and OK is a real witness order.  Every history is searched
+whole; a search that would visit more than ``BUDGET`` pairs, a bound on its
+work and not on time, stops undecided and reports UNCHECKED, which is
+inconclusive -- never silently passed.  A verdict is inconclusive when it is
+UNCHECKED or when some operation was abandoned (exhausted its step budget);
+a sweep counts no inconclusive verdict ok.
 
 Sweeps produce the same operation-level history many times over: crash runs
 that differ only in where the crash fell often fold into the same operation
@@ -229,7 +230,9 @@ class Verdict:
         return self.status == "OK"
 
 
-def _linearizable(ops: list[OpRecord], model) -> bool:
+def _linearizable(ops: list[OpRecord], model) -> Optional[bool]:
+    """Whether ``ops`` linearize; None when the search would visit more than
+    ``BUDGET`` (done, state) pairs before it could tell."""
     n = len(ops)
     if n == 0:
         return True
@@ -247,6 +250,8 @@ def _linearizable(ops: list[OpRecord], model) -> bool:
         done, state = stack.pop()
         if (done, state) in seen:
             continue
+        if len(seen) >= BUDGET:
+            return None
         seen.add((done, state))
         if done & completed_mask == completed_mask and model.final_ok(state):
             return True
@@ -264,8 +269,8 @@ def _linearizable(ops: list[OpRecord], model) -> bool:
     return False
 
 
-#: most operations one linearizability search takes (per key, for a set)
-CAP = 24
+#: most (done, state) pairs one linearizability search visits
+BUDGET = 1_000_000
 #: most OK verdicts ``check_nrl`` keeps; the memo is emptied when it is full
 OK_MEMO_SIZE = 1024
 _ok_memo: dict = {}      # (model type, initial, op shape) -> inconclusive
@@ -296,29 +301,12 @@ def check_nrl(history: Sequence, model) -> Verdict:
 
 def _check(ops: list[OpRecord], model) -> Verdict:
     inconclusive = any(o.abandoned for o in ops)
-    if len(ops) > CAP:
-        if isinstance(model, SetModel):
-            return _check_per_key(ops, model, inconclusive)
-        return Verdict("UNCHECKED", f"{len(ops)} ops exceed cap {CAP}", True)
-    if _linearizable(ops, model):
+    found = _linearizable(ops, model)
+    if found is None:
+        return Verdict("UNCHECKED", f"undecided after {BUDGET} pairs", True)
+    if found:
         return Verdict("OK", inconclusive=inconclusive)
     return Verdict("VIOLATION", _witness(ops), inconclusive)
-
-
-def _check_per_key(ops, model: SetModel, inconclusive: bool) -> Verdict:
-    """Check a set history one key at a time; set operations on distinct
-    keys commute, so it linearizes if every key's projection does."""
-    groups: dict[Any, list[OpRecord]] = {}
-    for rec in ops:
-        groups.setdefault(rec.args[0], []).append(rec)
-    for key, group in groups.items():
-        if len(group) > CAP:
-            return Verdict("UNCHECKED",
-                           f"key {key}: {len(group)} ops exceed cap {CAP}", True)
-        if not _linearizable(group, SetModel(model.initial & {key})):
-            return Verdict("VIOLATION", f"key {key}:\n{_witness(group)}",
-                           inconclusive)
-    return Verdict("OK", inconclusive=inconclusive)
 
 
 def _witness(ops: list[OpRecord]) -> str:

@@ -16,8 +16,8 @@ runtime's ``step_budget`` and a schedule has finitely many crashes, so
 every process finishes, with all its operations completed or at one that
 exhausted its budget and recorded ``Abandoned``.  A run is inconclusive
 exactly when its history holds an ``Abandoned`` event; a sweep also counts
-as inconclusive a history the checker could not check (see
-``checker.CAP``).  That driver loop is a generator that stops wherever a
+as inconclusive a history whose check outgrew the checker's search budget
+(``checker.BUDGET``).  That driver loop is a generator that stops wherever a
 crash falls due, so it can be resumed from any crash point.
 
 :func:`enumerate_crash_points` systematizes crash placement: for each base

@@ -166,13 +166,27 @@ def test_oversized_history_per_key_decomposition():
     assert v.ok
 
 
-def test_oversized_non_set_history_reports_unchecked():
+def test_long_set_history_violation_names_real_events():
     events = []
     t = 0
-    for i in range(30):
-        events.append(Invoke(t, 0, "push", (i,)))
-        events.append(Response(t + 1, 0, "push", True))
+    for k in range(30):
+        events.append(Invoke(t, 0, "insert", (k,)))
+        events.append(Response(t + 1, 0, "insert", k != 17))
         t += 2
+    v = check_nrl(events, SetModel())
+    assert v.status == "VIOLATION" and not v.inconclusive
+    assert "  p0 insert(17,) -> False [34..35]" in v.detail.splitlines()
+
+
+def test_oversized_non_set_history_reports_unchecked(monkeypatch):
+    # 9 concurrent pushes, then a pop of a value never pushed: every order of
+    # every subset of the pushes is a reachable stack, 986,410 (done, state)
+    # pairs in all, within the default budget
+    events = [Invoke(i, i, "push", (i,)) for i in range(9)]
+    events += [Response(9 + i, i, "push", True) for i in range(9)]
+    events += [Invoke(18, 0, "pop", ()), Response(19, 0, "pop", 999)]
+    assert check_nrl(events, StackModel()).status == "VIOLATION"
+    monkeypatch.setattr(checker, "BUDGET", 1_000)
     v = check_nrl(events, StackModel())
     assert v.status == "UNCHECKED" and v.inconclusive
 

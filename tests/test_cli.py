@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import nvtrack
+from nvtrack import checker
 from nvtrack.bench import BenchConfig
 from nvtrack.cli import main
 
@@ -128,12 +129,19 @@ def test_verify_counts_a_workload_op_out_of_budget_as_inconclusive(capsys):
     assert " 0 ok, 5 inconclusive, 0 linearizability violations" in out
 
 
-def test_verify_counts_a_history_over_the_checker_cap_as_inconclusive(capsys):
-    # 26 stack operations exceed checker.CAP, so no history can be checked
-    rc = main(["verify", "--structure", "stack", "--pids", "2",
-               "--ops-per-pid", "13", "--samples", "3"])
+def test_verify_counts_a_history_over_the_checker_cap_as_inconclusive(
+        capsys, monkeypatch):
+    argv = ["verify", "--structure", "stack", "--pids", "2",
+            "--ops-per-pid", "13", "--samples", "3"]
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert rc == 1
+    assert out.startswith("PASS stack.detectability: 20 runs ")
+    assert " 20 ok, 0 inconclusive, 0 linearizability violations" in out
+    # a search budget no history meets: nothing is checked, nothing is ok
+    monkeypatch.setattr(checker, "BUDGET", 2)
+    monkeypatch.setattr(checker, "_ok_memo", {})
+    assert main(argv) == 1
+    out = capsys.readouterr().out
     assert out.startswith("FAIL stack.detectability: 20 runs ")
     assert " 0 ok, 20 inconclusive, 0 linearizability violations" in out
 
