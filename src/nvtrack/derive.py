@@ -35,15 +35,17 @@ reordered: an access is rewritten only if its runtime is a name or a chain
 of attributes on one and its pid a name or a constant, and a ``write`` or
 ``flush`` only if its cell is such a chain, which may also subscript by
 names or constants, since the cell is then evaluated after the value, or
-twice.  ``inlined(cls)`` is a subclass of structure class ``cls`` holding
-the native variant of each method ``cls`` resolves to that has such an
-access.  Each runs in a copy of its own module's globals, in which every
-structure class it names is bound to its native variant, so
-``BaselineList.find(self, ...)`` from a subclass's method reaches the
-native base method too.  ``runtime.Structure`` picks the native variant
-when a structure is built on a runtime that keeps ``NativeRuntime``'s own
-``read``, ``write`` and ``flush``, so the class is derived in full, under
-a lock, in the thread that builds its first instance.
+twice.  ``inlined(cls)`` is a subclass of structure class ``cls`` and of
+the native variant of each of its structure bases, holding the native
+variant of each method ``cls`` itself defines that has such an access, run
+in its own module's globals.  So the native ``RecoverableList`` comes
+before the native ``BaselineList`` in its MRO, and ``super().find(...)``
+reaches the native base method, while an explicit
+``BaselineList.find(self, ...)`` runs the plain one, which calls every
+access.  ``runtime.Structure`` picks the native variant when a structure
+is built on a runtime that keeps ``NativeRuntime``'s own ``read``,
+``write`` and ``flush``, so the class and its bases are derived, under a
+lock, in the thread that builds its first instance.
 
 A function whose source cannot be read is an error that names it.  Derived
 code keeps the original file and line numbers.
@@ -83,16 +85,15 @@ def twin(fn):
         code = fn.__code__
         if code not in _CODES:
             _CODES[code] = _derive(fn)
-        t = TWINS[fn] = _CODES[code] and _bind(_CODES[code], fn, fn.__globals__,
-                                               {_TWIN: _TWIN_CELL})
+        t = TWINS[fn] = _CODES[code] and _bind(_CODES[code], fn, {_TWIN: _TWIN_CELL})
         return t
 
 
-def _bind(code, fn, globals_: dict, cells: dict):
-    """A function running ``code`` with ``globals_``, ``fn``'s defaults and
-    ``fn``'s cells, plus ``cells`` (free variable name -> cell)."""
+def _bind(code, fn, cells: dict):
+    """A function running ``code`` with ``fn``'s globals, defaults and cells,
+    plus ``cells`` (free variable name -> cell)."""
     cells = {**dict(zip(fn.__code__.co_freevars, fn.__closure__ or ())), **cells}
-    new = types.FunctionType(code, globals_, fn.__name__, fn.__defaults__,
+    new = types.FunctionType(code, fn.__globals__, fn.__name__, fn.__defaults__,
                              tuple(cells[name] for name in code.co_freevars))
     new.__kwdefaults__ = fn.__kwdefaults__
     new.__qualname__, new.__doc__ = fn.__qualname__, fn.__doc__
@@ -278,43 +279,26 @@ def _native(node: ast.AST) -> ast.AST:
     return node
 
 
-def _inline(root: ast.AST) -> int:
-    """Replace every node under ``root`` by :func:`_native`'s form of it, in
-    place; returns how many were replaced."""
+class _Native(ast.NodeTransformer):
+    """Replaces every node, top down, by :func:`_native`'s form of it;
+    ``count`` is how many it replaced."""
     count = 0
-    stack = [root]
-    while stack:
-        parent = stack.pop()
-        for field in parent._fields:
-            child = getattr(parent, field, None)
-            items = child if type(child) is list else (child,)
-            for i, item in enumerate(items):
-                if isinstance(item, ast.AST):
-                    new = _native(item)
-                    if new is not item:
-                        count += 1
-                        if items is child:
-                            child[i] = new
-                        else:
-                            setattr(parent, field, new)
-                    if type(new) not in _LEAVES:
-                        stack.append(new)
-    return count
 
-
-_LEAVES = frozenset({ast.Name, ast.Constant, ast.Load, ast.Store})
+    def visit(self, node: ast.AST) -> ast.AST:
+        new = _native(node)
+        self.count += new is not node
+        return self.generic_visit(new)
 
 
 _INLINED: dict = {}       # structure class -> its native variant (itself too)
-_GLOBALS: dict = {}       # id of a module's globals -> (them, the native copy)
 _LOCK = threading.RLock()  # deriving in two threads at once broke ``ast``
 
 
 def inlined(cls):
     """The native variant of structure class ``cls`` (see the module's
-    docstring), derived in full at the first call and cached, so a method
-    set on ``cls`` later is not seen if it replaces one with a native
-    variant.  A native variant is its own."""
+    docstring), derived at the first call and cached, so a method set on
+    ``cls`` later is not seen if it replaces one with a native variant.  A
+    native variant is its own."""
     try:
         return _INLINED[cls]
     except KeyError:
@@ -323,39 +307,20 @@ def inlined(cls):
     with _LOCK:
         if cls in _INLINED:
             return _INLINED[cls]
+        bases = [inlined(base) for base in cls.__bases__
+                 if issubclass(base, Structure) and base is not Structure]
         namespace = {"__module__": cls.__module__, "__qualname__": cls.__qualname__,
                      "__doc__": cls.__doc__}
-        seen, derived = set(), []
-        for klass in cls.__mro__[:cls.__mro__.index(Structure)]:
-            for name, fn in vars(klass).items():
-                if name in seen:
-                    continue
-                seen.add(name)           # ``fn`` is what ``cls`` resolves it to
-                if (type(fn) is not types.FunctionType
-                        or not _names(fn.__code__) & _INLINED_ACCESSES):
-                    continue
-                node = _source(fn, "a native variant")
-                if _inline(node):
-                    namespace[name] = _bind(_compile(node, fn.__code__), fn,
-                                            _native_globals(fn.__globals__), {})
-                    derived.append(namespace[name])
-        sub = _INLINED[cls] = type(cls.__name__, (cls,), namespace)
+        for name, fn in vars(cls).items():
+            if (type(fn) is types.FunctionType
+                    and _names(fn.__code__) & _INLINED_ACCESSES):
+                native = _Native()
+                node = native.visit(_source(fn, "a native variant"))
+                if native.count:
+                    namespace[name] = _bind(_compile(node, fn.__code__), fn, {})
+        sub = _INLINED[cls] = type(cls.__name__, (cls, *bases), namespace)
         _INLINED[sub] = sub
-        for fn in derived:             # rebind the structure classes it names
-            module = fn.__globals__
-            for name in _names(fn.__code__):
-                value = module.get(name)
-                if isinstance(value, type) and issubclass(value, Structure):
-                    module[name] = inlined(value)
         return sub
-
-
-def _native_globals(module_globals: dict) -> dict:
-    """The copy of ``module_globals`` that the module's native code runs in."""
-    key = id(module_globals)
-    if key not in _GLOBALS:
-        _GLOBALS[key] = (module_globals, dict(module_globals))
-    return _GLOBALS[key][1]
 
 
 def _names(code) -> set:

@@ -5,10 +5,11 @@ The slot normally points at a shared ``default`` record (the only record
 whose state is ever EMPTY).  A first arriver installs its record in WAITING
 state and spins; a second arriver links itself as partner, flips the slot
 (state BUSY) and completes the collision by cross-writing both ``result``
-fields (:func:`switch_pair`).  Any process that observes a BUSY slot helps
-finish the collision and resets the slot, which makes the completion step
-idempotent and crash-recoverable: recovery re-runs exactly the completion
-the crashed process was in the middle of, then reads its own ``result``.
+fields (:meth:`TimedExchanger.switch_pair`).  Any process that observes a
+BUSY slot helps finish the collision and resets the slot, which makes the
+completion step idempotent and crash-recoverable: recovery re-runs exactly
+the completion the crashed process was in the middle of, then reads its
+own ``result``.
 
 Two variants share the record type and one copy of the protocol:
 
@@ -40,12 +41,6 @@ class ExchangeInfo(InfoRecord):
         self.result = m.new_cell(UNSET)
         self.partner = m.new_cell(None)
         self.slot = slot
-
-
-def switch_pair(m, p, first: ExchangeInfo, second: ExchangeInfo) -> None:
-    """Record each operation's value as the other's result (idempotent)."""
-    m.write(p, first.result, second.value)
-    m.write(p, second.result, first.value)
 
 
 class TimedExchanger(Structure):
@@ -81,7 +76,7 @@ class TimedExchanger(Structure):
                 m.write(p, myop.partner, yourop)
                 m.write(p, myop.state, EX_BUSY)
                 if m.cas(p, self.slot, yourop, myop):
-                    switch_pair(m, p, myop, yourop)
+                    self.switch_pair(p, myop, yourop)
                     m.cas(p, self.slot, myop, self.default)
                     return m.read(p, myop.result)
             else:  # EX_BUSY: a collision is in progress; help and retry
@@ -99,18 +94,24 @@ class TimedExchanger(Structure):
             return TIMEOUT
         return m.read(p, myop.result)
 
+    def switch_pair(self, p, first: ExchangeInfo, second: ExchangeInfo) -> None:
+        """Record each operation's value as the other's result (idempotent)."""
+        m = self.m
+        m.write(p, first.result, second.value)
+        m.write(p, second.result, first.value)
+
     def _complete(self, p, op: ExchangeInfo) -> None:
         """Finish the collision that BUSY record ``op`` started."""
         m = self.m
         partner = m.read(p, op.partner)
-        switch_pair(m, p, op, partner)
+        self.switch_pair(p, op, partner)
         m.cas(p, self.slot, op, self.default)
 
     def _finish_as_partner(self, p, myop: ExchangeInfo, yourop) -> None:
         """Finish the collision that names ``myop`` as partner, if any."""
         m = self.m
         if m.read(p, yourop.partner) is myop:
-            switch_pair(m, p, myop, yourop)
+            self.switch_pair(p, myop, yourop)
             m.cas(p, self.slot, yourop, self.default)
 
     def _withdraw(self, p, myop: ExchangeInfo) -> bool:

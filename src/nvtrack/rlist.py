@@ -172,7 +172,7 @@ class RecoverableList(BaselineList):
 
     def find(self, p, key) -> bool:
         if not self._fp:
-            return BaselineList.find(self, p, key)
+            return super().find(p, key)
         m = self.m
         curr = self.head
         while curr.key <= key:     # the baseline's reads, no more
@@ -189,7 +189,7 @@ class RecoverableList(BaselineList):
         persisting and flagging each unflagged link word it reads, so a mark
         persists before its unlink."""
         if not self._fp:
-            return BaselineList.search(self, p, key)
+            return super().search(p, key)
         m = self.m
         while True:
             pred = self.head

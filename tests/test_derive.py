@@ -8,7 +8,7 @@ import types
 
 import pytest
 
-from nvtrack import derive
+from nvtrack import derive, rlist
 from nvtrack.cli import default_workload
 from nvtrack.harness import STRUCTURES, Schedule, pattern_quanta, run_schedule
 from nvtrack.rbst import BaselineBst, RecoverableBst
@@ -226,20 +226,58 @@ class _Checked(RecoverableList):
     """A structure subclass in another module than its base."""
 
     def find(self, p, key) -> bool:
-        found = RecoverableList.find(self, p, key)
+        found = super().find(p, key)
         assert self.m.read(p, self.head.next).ref.key <= key or not found
         return found
 
 
-def test_native_methods_run_in_their_own_modules_naming_native_classes():
+def _no_memory_calls(monkeypatch) -> None:
+    """Make every call of ``NativeRuntime.read``, ``write`` or ``flush``
+    raise; structures built before keep their native variant."""
+    def calls(*args):
+        raise AssertionError("a native variant called the runtime")
+    for name in ("read", "write", "flush"):
+        monkeypatch.setattr(NativeRuntime, name, calls)
+
+
+def test_native_subclass_reaches_native_base_through_super(monkeypatch):
     lst = _Checked(NativeRuntime(1))
-    native = type(lst)
-    assert native.find.__globals__["RecoverableList"] is derive.inlined(RecoverableList)
-    assert native.insert.__globals__["__name__"] == "nvtrack.rlist"
-    assert (derive.inlined(RecoverableList).find.__globals__["BaselineList"]
-            is derive.inlined(BaselineList))
-    assert globals()["RecoverableList"] is RecoverableList   # modules untouched
-    assert lst.insert(0, 5) and lst.find(0, 5) and not lst.find(0, 6)
+    assert type(lst).__mro__[1:5] == (_Checked, derive.inlined(RecoverableList),
+                                      RecoverableList, derive.inlined(BaselineList))
+    assert lst.insert(0, 5) and lst.insert(0, 9)
+    assert RecoverableList.find(lst, 0, 5) and not RecoverableList.find(lst, 0, 6)
+    _no_memory_calls(monkeypatch)
+    assert lst.find(0, 5) and lst.find(0, 9) and not lst.find(0, 6)
+    assert lst.delete(0, 5) and not lst.find(0, 5)
+
+
+def test_each_method_is_derived_once():
+    native = derive.inlined(RecoverableList)
+    assert native.__mro__[:4] == (native, RecoverableList,
+                                  derive.inlined(BaselineList), BaselineList)
+    assert "find" in vars(native) and "insert" in vars(native)
+    assert "search" not in vars(derive.inlined(RecoverableBst))
+    assert (derive.inlined(RecoverableBst).search
+            is derive.inlined(BaselineBst).search)
+    assert "_collide" not in vars(derive.inlined(Exchanger))
+    assert (derive.inlined(Exchanger)._collide
+            is derive.inlined(TimedExchanger)._collide)
+
+
+def test_native_code_reads_its_module_globals_when_it_runs(monkeypatch):
+    lst = RecoverableList(NativeRuntime(1))
+    built = []
+
+    class Recording(rlist.ListInfo):
+        __slots__ = ()
+
+        def __init__(self, m, nd):
+            super().__init__(m, nd)
+            built.append(self)
+
+    monkeypatch.setattr(rlist, "ListInfo", Recording)
+    assert lst.insert(0, 5) and lst.delete(0, 5)
+    assert len(built) == 2
 
 
 def _set_ops(obj, rt, reset: bool) -> tuple:
@@ -279,12 +317,16 @@ VARIANTS = {
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
-def test_native_variant_matches_observed_reads(name):
+def test_native_variant_matches_observed_reads(monkeypatch, name):
+    """The native variant makes no ``read``, ``write`` or ``flush`` call."""
     make, ops, reset = VARIANTS[name]
     runs = []
     for rt in (NativeRuntime(1), ObservedReads(1)):
         obj = make(rt)
-        responses, contents = ops(obj, rt, reset)
+        with monkeypatch.context() as patch:
+            if type(rt) is NativeRuntime:
+                _no_memory_calls(patch)
+            responses, contents = ops(obj, rt, reset)
         chain = ([n.key for n in obj.persisted_chain()] if name == "list-flush"
                  else None)
         runs.append((responses, contents, chain))
@@ -295,9 +337,10 @@ def test_native_variant_matches_observed_reads(name):
 @pytest.mark.parametrize("make", [
     Exchanger, lambda m: TimedExchanger(m, ExchangeInfo(m, EX_EMPTY, UNSET))],
     ids=["exchanger", "exchanger-timed"])
-def test_native_exchangers_pair_like_observed_ones(run_threads, make):
+def test_native_exchangers_pair_like_observed_ones(run_threads, monkeypatch, make):
     """Two threads, each exchanging its own values in turn: the i-th
-    exchange of one can only pair with the i-th of the other."""
+    exchange of one can only pair with the i-th of the other.  The native
+    exchanger makes no ``read``, ``write`` or ``flush`` call."""
     for rt in (NativeRuntime(2), ObservedReads(2)):
         ex = make(rt)
         got = [None, None]
@@ -309,7 +352,10 @@ def test_native_exchangers_pair_like_observed_ones(run_threads, make):
             else:
                 got[pid] = [ex.exchange(pid, v, 10 ** 10) for v in send]
 
-        run_threads(2, work)
+        with monkeypatch.context() as patch:
+            if type(rt) is NativeRuntime:
+                _no_memory_calls(patch)
+            run_threads(2, work)
         assert got == [[100 + i for i in range(20)], list(range(20))]
         assert ex.slot.v is ex.default
     assert rt.reads > 0

@@ -12,7 +12,6 @@ from nvtrack.rexchanger import (
     ExchangeInfo,
     Exchanger,
     TimedExchanger,
-    switch_pair,
 )
 from nvtrack.runtime import SimRuntime, TIMEOUT, UNSET
 
@@ -22,11 +21,12 @@ TIMED = STRUCTURES["exchanger-timed"]
 
 def test_switch_pair_swaps_values():
     rt = SimRuntime(1)
+    ex = Exchanger(rt)
     a = ExchangeInfo(rt, EX_EMPTY, 1)
     b = ExchangeInfo(rt, EX_EMPTY, 2)
-    switch_pair(rt, 0, a, b)
+    ex.switch_pair(0, a, b)
     assert a.result.v == 2 and b.result.v == 1
-    switch_pair(rt, 0, a, b)   # replay writes the same values
+    ex.switch_pair(0, a, b)   # replay writes the same values
     assert a.result.v == 2 and b.result.v == 1
 
 
