@@ -19,16 +19,29 @@ import random
 import statistics
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 from .rbst import BaselineBst, INF1, RecoverableBst
 from .rlist import BaselineList, KEY_MAX, KEY_MIN, RecoverableList
 from .rstack import BaselineStack, EliminationStack
 from .runtime import NativeRuntime, SimRuntime
 
-STRUCTURES = ("list", "list-flush", "stack", "bst")
-VARIANTS = ("base", "recoverable")
+# (structure, variant) -> factory(rt, seed); list-flush has no base variant,
+# because the flush protocol only exists for the recoverable list
+BUILDERS = {
+    ("list", "base"): lambda rt, seed: BaselineList(rt),
+    ("list", "recoverable"): lambda rt, seed: RecoverableList(rt),
+    ("list-flush", "recoverable"):
+        lambda rt, seed: RecoverableList(rt, flush_protocol=True),
+    ("stack", "base"): lambda rt, seed: BaselineStack(rt, seed=seed),
+    ("stack", "recoverable"): lambda rt, seed: EliminationStack(rt, seed=seed),
+    ("bst", "base"): lambda rt, seed: BaselineBst(rt),
+    ("bst", "recoverable"): lambda rt, seed: RecoverableBst(rt),
+}
+STRUCTURES = tuple(dict.fromkeys(s for s, _ in BUILDERS))
+VARIANTS = tuple(dict.fromkeys(v for _, v in BUILDERS))
+TIMINGS = ("wall", "steps")
 
 FIND, INSERT, DELETE = 0, 1, 2
 _SIM_STEP_SECONDS = 1e-7     # steps-timing mode: one shared access = 100ns
@@ -50,17 +63,13 @@ class BenchConfig:
     prefill: int = 250
     runs: int = 10
     seed: int = 42
-    timing: str = "wall"            # wall | steps
-    record_responses: bool = False  # debug mode: keep per-op responses
+    timing: str = "wall"            # one of TIMINGS
 
     def validate(self) -> None:
-        if self.structure not in STRUCTURES:
-            raise ConfigError(f"structure must be one of {STRUCTURES}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}")
-        if self.structure == "list-flush" and self.variant == "base":
-            raise ConfigError("list-flush has no base variant: the flush "
-                              "protocol only exists for the recoverable list")
+        if (self.structure, self.variant) not in BUILDERS:
+            pairs = ", ".join(f"{s}/{v}" for s, v in BUILDERS)
+            raise ConfigError(f"no {self.structure}/{self.variant} benchmark; "
+                              f"structure/variant must be one of: {pairs}")
         if self.threads < 1 or self.total_ops < 1 or self.runs < 1:
             raise ConfigError("threads, total_ops and runs must be positive")
         if self.prefill < 0:
@@ -72,8 +81,8 @@ class BenchConfig:
                               "--read-pct 0 for stack benchmarks")
         if not KEY_MIN < self.key_lo <= self.key_hi < min(KEY_MAX, INF1):
             raise ConfigError("key range must fit in the user key domain")
-        if self.timing not in ("wall", "steps"):
-            raise ConfigError("timing must be 'wall' or 'steps'")
+        if self.timing not in TIMINGS:
+            raise ConfigError(f"timing must be one of {TIMINGS}")
         if self.timing == "steps" and self.threads != 1:
             raise ConfigError("steps timing is single-threaded")
 
@@ -81,8 +90,7 @@ class BenchConfig:
 @dataclass
 class BenchResult:
     config: BenchConfig
-    throughputs: list = field(default_factory=list)   # Mops/s per run
-    responses: Optional[list] = None
+    throughputs: list                   # Mops/s per run
 
     @property
     def mean_mops(self) -> float:
@@ -96,19 +104,7 @@ class BenchResult:
 
 
 def build_structure(cfg: BenchConfig, rt) -> Any:
-    if cfg.structure == "list":
-        return (RecoverableList(rt) if cfg.variant == "recoverable"
-                else BaselineList(rt))
-    if cfg.structure == "list-flush":
-        return RecoverableList(rt, flush_protocol=True)
-    if cfg.structure == "stack":
-        return (EliminationStack(rt, seed=cfg.seed)
-                if cfg.variant == "recoverable"
-                else BaselineStack(rt, seed=cfg.seed))
-    if cfg.structure == "bst":
-        return (RecoverableBst(rt) if cfg.variant == "recoverable"
-                else BaselineBst(rt))
-    raise ConfigError(cfg.structure)
+    return BUILDERS[cfg.structure, cfg.variant](rt, cfg.seed)
 
 
 def op_stream(cfg: BenchConfig, run: int, tid: int, count: int) -> list:
@@ -137,97 +133,84 @@ def _op_table(cfg: BenchConfig, structure) -> dict:
     return {INSERT: structure.push, DELETE: structure.pop}
 
 
-def _prefill(cfg: BenchConfig, structure, rt) -> None:
+def _prefill(cfg: BenchConfig, structure) -> None:
+    insert = _op_table(cfg, structure)[INSERT]       # push, for the stack
     rng = random.Random(f"{cfg.seed}:prefill")
     for _ in range(cfg.prefill):
-        key = rng.randint(cfg.key_lo, cfg.key_hi)
-        if cfg.structure == "stack":
-            structure.push(0, key)
-        else:
-            structure.insert(0, key)
+        insert(0, rng.randint(cfg.key_lo, cfg.key_hi))
 
 
-def _worker(cfg, rt, table, ops, pid, sink):
+def _worker(cfg, rt, table, ops, pid) -> None:
     reset = rt.invoke_reset
     recoverable = cfg.variant == "recoverable"
-    out = [] if sink is not None else None
     if cfg.structure == "stack":
         push, pop = table[INSERT], table[DELETE]
         for code, key in ops:
             if recoverable:
                 reset(pid)
-            r = push(pid, key) if code == INSERT else pop(pid)
-            if out is not None:
-                out.append(r)
+            push(pid, key) if code == INSERT else pop(pid)
     else:
         for code, key in ops:
             if recoverable:
                 reset(pid)
-            r = table[code](pid, key)
-            if out is not None:
-                out.append(r)
-    if sink is not None:
-        sink[pid] = out
+            table[code](pid, key)
 
 
-def _one_run(cfg: BenchConfig, run: int) -> tuple:
-    if cfg.timing == "steps":
-        rt = SimRuntime(1, step_budget=2 ** 62)
-    else:
-        rt = NativeRuntime(cfg.threads, seed=cfg.seed)
+def _run_threads(cfg, rt, table, streams) -> None:
+    """Run one thread per stream; once all are joined, re-raise the first
+    exception a worker raised."""
+    errors = []
+
+    def body(pid):
+        try:
+            _worker(cfg, rt, table, streams[pid], pid)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=body, args=(t,))
+               for t in range(cfg.threads)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    if errors:
+        raise errors[0]
+
+
+def _one_run(cfg: BenchConfig, run: int) -> float:
+    """Mops/s of one run."""
+    steps = cfg.timing == "steps"
+    rt = (SimRuntime(1, step_budget=2 ** 62) if steps
+          else NativeRuntime(cfg.threads, seed=cfg.seed))
     structure = build_structure(cfg, rt)
-    _prefill(cfg, structure, rt)
+    _prefill(cfg, structure)
     table = _op_table(cfg, structure)
-    share = cfg.total_ops // cfg.threads
-    counts = [share + (1 if t < cfg.total_ops % cfg.threads else 0)
-              for t in range(cfg.threads)]
-    streams = [op_stream(cfg, run, t, counts[t]) for t in range(cfg.threads)]
-    sink = [None] * cfg.threads if cfg.record_responses else None
+    share, extra = divmod(cfg.total_ops, cfg.threads)
+    streams = [op_stream(cfg, run, t, share + (1 if t < extra else 0))
+               for t in range(cfg.threads)]
 
-    if cfg.timing == "steps":
-        start_steps = rt.steps
-        _worker(cfg, rt, table, streams[0], 0, sink)
-        elapsed = (rt.steps - start_steps) * _SIM_STEP_SECONDS
-    elif cfg.threads == 1:
-        t0 = time.perf_counter()
-        _worker(cfg, rt, table, streams[0], 0, sink)
-        elapsed = time.perf_counter() - t0
+    # steps timing is single-threaded, so it shares the one-thread path
+    start = rt.steps if steps else time.perf_counter()
+    if cfg.threads == 1:           # on the calling thread: a spawned one is slower
+        _worker(cfg, rt, table, streams[0], 0)
     else:
-        threads = [
-            threading.Thread(target=_worker,
-                             args=(cfg, rt, table, streams[t], t, sink))
-            for t in range(cfg.threads)
-        ]
-        t0 = time.perf_counter()
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        elapsed = time.perf_counter() - t0
-    mops = cfg.total_ops / elapsed / 1e6
-    responses = None
-    if sink is not None:
-        responses = [r for chunk in sink for r in chunk]
-    return mops, responses
+        _run_threads(cfg, rt, table, streams)
+    elapsed = ((rt.steps - start) * _SIM_STEP_SECONDS if steps
+               else time.perf_counter() - start)
+    return cfg.total_ops / elapsed / 1e6
 
 
 def run_benchmark(cfg: BenchConfig) -> BenchResult:
     cfg.validate()
-    result = BenchResult(cfg)
-    for run in range(cfg.runs):
-        mops, responses = _one_run(cfg, run)
-        result.throughputs.append(mops)
-        if cfg.record_responses and responses is not None:
-            result.responses = responses
-    return result
+    return BenchResult(cfg, [_one_run(cfg, run) for run in range(cfg.runs)])
 
 
 CSV_HEADER = ("structure", "variant", "threads", "read_pct",
               "mean_mops", "stddev")
 
 
-def emit_results(results: Sequence[BenchResult], out=None) -> str:
-    """Write results as CSV; returns the text (also written to ``out``)."""
+def emit_results(results: Sequence[BenchResult]) -> str:
+    """The results as CSV text."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -236,7 +219,4 @@ def emit_results(results: Sequence[BenchResult], out=None) -> str:
             r.config.structure, r.config.variant, r.config.threads,
             r.config.read_pct, f"{r.mean_mops:.6f}", f"{r.stddev:.6f}",
         ])
-    text = buf.getvalue()
-    if out is not None:
-        out.write(text)
-    return text
+    return buf.getvalue()

@@ -4,30 +4,25 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
-from . import harness
+from . import bench, harness
 from .bench import BenchConfig, ConfigError, emit_results, run_benchmark
 from .runtime import StepBudgetExceeded
 
 
 def _bench_parser(sub) -> None:
+    """One flag per ``BenchConfig`` field, with the field's default."""
     p = sub.add_parser("bench", help="run a native-backend throughput benchmark")
-    p.add_argument("--structure", default="list",
-                   choices=("list", "list-flush", "stack", "bst"))
-    p.add_argument("--variant", default="recoverable",
-                   choices=("base", "recoverable"))
-    p.add_argument("--threads", type=int, default=8)
-    p.add_argument("--ops", type=int, default=1_000_000)
-    p.add_argument("--key-lo", type=int, default=1)
-    p.add_argument("--key-hi", type=int, default=500)
-    p.add_argument("--read-pct", type=int, default=30)
-    p.add_argument("--prefill", type=int, default=250)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42)
+    choices = {"structure": bench.STRUCTURES, "variant": bench.VARIANTS,
+               "timing": bench.TIMINGS}
+    for f in dataclasses.fields(BenchConfig):
+        flag = "--ops" if f.name == "total_ops" else "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default,
+                       choices=choices.get(f.name))
     p.add_argument("--format", default="csv", choices=("csv",))
-    p.add_argument("--timing", default="wall", choices=("wall", "steps"))
     p.add_argument("--output", default=None, help="write CSV here instead of stdout")
 
 
@@ -93,18 +88,13 @@ def default_workload(structure: str, pids: int, ops_per_pid: int,
 
 
 def cmd_bench(args) -> int:
-    cfg = BenchConfig(
-        structure=args.structure, variant=args.variant, threads=args.threads,
-        total_ops=args.ops, key_lo=args.key_lo, key_hi=args.key_hi,
-        read_pct=args.read_pct, prefill=args.prefill, runs=args.runs,
-        seed=args.seed, timing=args.timing,
-    )
+    cfg = BenchConfig(**{f.name: getattr(args, f.name)
+                         for f in dataclasses.fields(BenchConfig)})
     try:
-        cfg.validate()
+        result = run_benchmark(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = run_benchmark(cfg)
     text = emit_results([result])
     if args.output:
         with open(args.output, "w") as fh:

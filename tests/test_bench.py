@@ -1,11 +1,19 @@
 """Benchmark configuration, determinism, and CSV output."""
 
+import itertools
+
 import pytest
 
+from nvtrack import bench
 from nvtrack.bench import (
+    BUILDERS,
+    DELETE,
     BenchConfig,
     ConfigError,
     CSV_HEADER,
+    _op_table,
+    _prefill,
+    build_structure,
     emit_results,
     op_stream,
     run_benchmark,
@@ -60,6 +68,23 @@ def test_smoke_run_emits_csv_row():
     assert res.mean_mops > 0
 
 
+def responses(cfg):
+    """Each op's response to one thread's stream of run 0, on a prefilled
+    structure built as the benchmark builds it."""
+    rt = NativeRuntime(1, seed=cfg.seed)
+    structure = build_structure(cfg, rt)
+    _prefill(cfg, structure)
+    table = _op_table(cfg, structure)
+    out = []
+    for code, key in op_stream(cfg, 0, 0, cfg.total_ops):
+        rt.invoke_reset(0)
+        if cfg.structure == "stack" and code == DELETE:
+            out.append(table[code](0))
+        else:
+            out.append(table[code](0, key))
+    return out
+
+
 @pytest.mark.parametrize("structure,read_pct", [
     ("list", 30), ("bst", 30), ("stack", 0),
 ])
@@ -67,24 +92,47 @@ def test_base_and_recoverable_agree_on_responses(structure, read_pct):
     results = {}
     for variant in ("base", "recoverable"):
         cfg = small(structure=structure, variant=variant, read_pct=read_pct,
-                    total_ops=600, record_responses=True)
-        results[variant] = run_benchmark(cfg).responses
+                    total_ops=600)
+        results[variant] = responses(cfg)
     assert results["base"] == results["recoverable"]
     assert len(results["base"]) == 600
 
 
 def test_flush_list_matches_plain_recoverable_responses():
-    plain = run_benchmark(small(total_ops=600, record_responses=True))
-    flush = run_benchmark(small(structure="list-flush", total_ops=600,
-                                record_responses=True))
-    assert plain.responses == flush.responses
+    plain = responses(small(total_ops=600))
+    flush = responses(small(structure="list-flush", total_ops=600))
+    assert plain == flush
 
 
-def test_steps_timing_is_bit_stable():
-    cfg = dict(timing="steps", runs=1, threads=1, total_ops=500)
+@pytest.mark.parametrize("structure,variant", list(BUILDERS))
+def test_steps_timing_is_bit_stable(structure, variant):
+    cfg = dict(structure=structure, variant=variant, timing="steps", runs=1,
+               threads=1, total_ops=500, read_pct=0 if structure == "stack" else 30)
     a = emit_results([run_benchmark(small(**cfg))])
     b = emit_results([run_benchmark(small(**cfg))])
     assert a == b
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_worker_exception_reaches_the_caller(monkeypatch, threads):
+    calls = itertools.count(1)
+    build = bench.build_structure
+
+    def faulty_build(cfg, rt):
+        structure = build(cfg, rt)
+        find = structure.find
+
+        def failing_find(pid, key):
+            if next(calls) == 5:
+                raise RuntimeError("find failed")
+            return find(pid, key)
+
+        structure.find = failing_find
+        return structure
+
+    monkeypatch.setattr(bench, "build_structure", faulty_build)
+    with pytest.raises(RuntimeError, match="find failed"):
+        run_benchmark(small(variant="base", threads=threads))
 
 
 def test_writeback_flush_copies_value():

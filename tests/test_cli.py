@@ -7,8 +7,8 @@ import sys
 import pytest
 
 import nvtrack
-from nvtrack import checker
-from nvtrack.bench import BenchConfig
+from nvtrack import bench, checker, cli
+from nvtrack.bench import BUILDERS, BenchConfig, BenchResult
 from nvtrack.cli import main
 
 
@@ -19,6 +19,46 @@ def test_bench_defaults_mirror_reference_protocol():
     assert cfg.prefill == 250
     assert cfg.runs == 10
     assert cfg.seed == 42
+
+
+@pytest.fixture
+def bench_configs(monkeypatch):
+    """Each ``BenchConfig`` that ``nvtrack bench`` runs; none is run."""
+    configs = []
+
+    def record(cfg):
+        configs.append(cfg)
+        return BenchResult(cfg, [1.0])
+
+    monkeypatch.setattr(cli, "run_benchmark", record)
+    return configs
+
+
+def test_bench_flag_defaults_are_the_config_defaults(bench_configs, capsys):
+    assert main(["bench"]) == 0
+    assert bench_configs == [BenchConfig()]
+    assert capsys.readouterr().out.splitlines()[1].startswith("list,recoverable,8,30,")
+
+
+@pytest.mark.parametrize("structure,variant", list(BUILDERS))
+def test_bench_accepts_every_pair_of_the_variant_table(bench_configs, structure,
+                                                       variant):
+    assert main(["bench", "--structure", structure, "--variant", variant,
+                 "--read-pct", "0", "--ops", "5"]) == 0
+    assert bench_configs == [BenchConfig(structure=structure, variant=variant,
+                                         read_pct=0, total_ops=5)]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--structure", "exchanger"), ("--variant", "flush")])
+def test_bench_rejects_a_name_outside_the_variant_table(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid choice" in err
+    names = bench.STRUCTURES if flag == "--structure" else bench.VARIANTS
+    assert all(repr(name) in err or name in err for name in names)
 
 
 def test_bench_subcommand_prints_csv(capsys):
