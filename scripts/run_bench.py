@@ -2,8 +2,9 @@
 """Throughput sweep: base vs recoverable vs recoverable+flush list across
 thread counts, for the update- and read-intensive mixes.
 
-Full-protocol runs (1M ops, 10 runs each) take a while in pure Python; use
---ops/--runs to scale down for a quick look.
+Runs every list pair of ``bench.BUILDERS``.  Full-protocol runs (the
+``BenchConfig`` defaults) take a while in pure Python; use --ops/--runs to
+scale down for a quick look.
 
     python3 scripts/run_bench.py --threads 1 2 4 8 --ops 100000 --runs 3 \
         --out results.csv
@@ -12,21 +13,18 @@ Full-protocol runs (1M ops, 10 runs each) take a while in pure Python; use
 import argparse
 import sys
 
-from nvtrack.bench import BenchConfig, emit_results, run_benchmark
+from nvtrack.bench import BUILDERS, BenchConfig, emit_results, run_benchmark
 
-CONFIGS = [
-    ("list", "base"),
-    ("list", "recoverable"),
-    ("list-flush", "recoverable"),
-]
+LIST_PAIRS = [(s, v) for s, v in BUILDERS if s in ("list", "list-flush")]
 
 
 def main() -> int:
+    defaults = BenchConfig()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--threads", type=int, nargs="+", default=[1, 2, 4, 8])
-    ap.add_argument("--ops", type=int, default=1_000_000)
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--ops", type=int, default=defaults.total_ops)
+    ap.add_argument("--runs", type=int, default=defaults.runs)
+    ap.add_argument("--seed", type=int, default=defaults.seed)
     ap.add_argument("--read-pcts", type=int, nargs="+", default=[30, 70])
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
@@ -34,7 +32,7 @@ def main() -> int:
     results = []
     for read_pct in args.read_pcts:
         for threads in args.threads:
-            for structure, variant in CONFIGS:
+            for structure, variant in LIST_PAIRS:
                 cfg = BenchConfig(structure=structure, variant=variant,
                                   threads=threads, total_ops=args.ops,
                                   read_pct=read_pct, runs=args.runs,

@@ -12,6 +12,11 @@ inconclusive -- never silently passed.  A verdict is inconclusive when it is
 UNCHECKED or when some operation was abandoned (exhausted its step budget);
 a sweep counts no inconclusive verdict ok.
 
+A sequential model has an ``initial`` state; ``step(state, op, args, resp)``,
+the list of states the operation may leave, where ``resp`` is ``WILDCARD``
+(any response) for an operation with no response, which the search may also
+leave out; and ``final_ok(state)``, whether a linearization may end there.
+
 Sweeps produce the same operation-level history many times over: crash runs
 that differ only in where the crash fell often fold into the same operation
 records.  ``check_nrl`` therefore keeps a bounded memo of OK verdicts, keyed
@@ -66,22 +71,14 @@ class SetModel:
     def step(self, state, op, args, resp):
         k = args[0]
         if op == "insert":
-            return [state | {k}] if resp == (k not in state) else []
-        if op == "delete":
-            return [state - {k}] if resp == (k in state) else []
-        if op in ("find", "contains"):
-            return [state] if resp == (k in state) else []
-        raise ValueError(f"unknown set op {op}")
-
-    def step_pending(self, state, op, args):
-        k = args[0]
-        if op == "insert":
-            return [state | {k}]
-        if op == "delete":
-            return [state - {k}]
-        if op in ("find", "contains"):
-            return [state]
-        raise ValueError(f"unknown set op {op}")
+            expect, after = k not in state, state | {k}
+        elif op == "delete":
+            expect, after = k in state, state - {k}
+        elif op in ("find", "contains"):
+            expect, after = k in state, state
+        else:
+            raise ValueError(f"unknown set op {op}")
+        return [after] if resp is WILDCARD or resp == expect else []
 
     def final_ok(self, state) -> bool:
         return True
@@ -95,18 +92,11 @@ class StackModel:
 
     def step(self, state, op, args, resp):
         if op == "push":
-            return [state + (args[0],)] if resp is True else []
+            return [state + (args[0],)] if resp is True or resp is WILDCARD else []
         if op == "pop":
             if not state:
-                return [state] if resp is EMPTY else []
-            return [state[:-1]] if resp == state[-1] else []
-        raise ValueError(f"unknown stack op {op}")
-
-    def step_pending(self, state, op, args):
-        if op == "push":
-            return [state + (args[0],)]
-        if op == "pop":
-            return [state] if not state else [state[:-1]]
+                return [state] if resp is EMPTY or resp is WILDCARD else []
+            return [state[:-1]] if resp is WILDCARD or resp == state[-1] else []
         raise ValueError(f"unknown stack op {op}")
 
     def final_ok(self, state) -> bool:
@@ -125,27 +115,15 @@ class ExchangeModel:
     initial = None
 
     def step(self, state, op, args, resp):
-        v = args[0]
-        out = []
         if resp is TIMEOUT:
-            out.append(state)
-        elif state is None:
-            out.append((v, resp))
-        else:
-            v0, r0 = state
-            if (r0 is WILDCARD or r0 == v) and resp == v0:
-                out.append(None)
-        return out
-
-    def step_pending(self, state, op, args):
+            return [state]
         v = args[0]
-        out = [state]                      # times out / never takes effect
+        out = [state] if resp is WILDCARD else []      # a pending one timed out
         if state is None:
-            out.append((v, WILDCARD))
-        else:
-            v0, r0 = state
-            if r0 is WILDCARD or r0 == v:
-                out.append(None)
+            return out + [(v, resp)]
+        v0, r0 = state
+        if (r0 is WILDCARD or r0 == v) and (resp is WILDCARD or resp == v0):
+            out.append(None)
         return out
 
     def final_ok(self, state) -> bool:
@@ -260,11 +238,8 @@ def _linearizable(ops: list[OpRecord], model) -> Optional[bool]:
             if done & bit or (pred[i] & ~done):
                 continue
             rec = ops[i]
-            if rec.pending:
-                nexts = model.step_pending(state, rec.op, rec.args)
-            else:
-                nexts = model.step(state, rec.op, rec.args, rec.resp)
-            for ns in nexts:
+            resp = WILDCARD if rec.pending else rec.resp
+            for ns in model.step(state, rec.op, rec.args, resp):
                 stack.append((done | bit, ns))
     return False
 

@@ -90,17 +90,17 @@ def default_workload(structure: str, pids: int, ops_per_pid: int,
 def cmd_bench(args) -> int:
     cfg = BenchConfig(**{f.name: getattr(args, f.name)
                          for f in dataclasses.fields(BenchConfig)})
-    try:
-        result = run_benchmark(cfg)
-    except ConfigError as exc:
+    try:           # a bad config or --output fails before the run, not after
+        cfg.validate()
+        out = open(args.output, "w") if args.output else sys.stdout
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = emit_results([result])
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        out.write(emit_results([run_benchmark(cfg)]))
+    finally:
+        if out is not sys.stdout:
+            out.close()
     return 0
 
 

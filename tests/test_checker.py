@@ -1,5 +1,9 @@
 """Linearizability checker and strict-recoverability checker."""
 
+import collections
+import dataclasses
+import hashlib
+
 import pytest
 
 from nvtrack import checker
@@ -86,17 +90,23 @@ def test_crashed_op_linearizes_over_extended_interval():
     assert check_nrl(h, SetModel()).ok
 
 
-def test_pending_op_may_or_may_not_have_applied():
-    h_applied = H(
-        Invoke(0, 0, "insert", (5,)),
-        Invoke(1, 1, "find", (5,)), Response(2, 1, "find", True),
+@pytest.mark.parametrize("model,pending,completed,resp,status", [
+    (SetModel(), ("insert", (5,)), ("find", (5,)), True, "OK"),
+    (SetModel(), ("insert", (5,)), ("find", (5,)), False, "OK"),
+    (StackModel(), ("push", (5,)), ("pop", ()), 5, "OK"),
+    (StackModel(), ("push", (5,)), ("pop", ()), EMPTY, "OK"),
+    (StackModel(), ("push", (5,)), ("pop", ()), 6, "VIOLATION"),
+], ids=["set-applied", "set-not-applied", "stack-applied", "stack-not-applied",
+        "stack-pops-a-value-never-pushed"])
+def test_pending_op_may_or_may_not_have_applied(model, pending, completed,
+                                                resp, status):
+    # p0's op never responds; p1's op overlaps it and completes with resp
+    (op0, args0), (op1, args1) = pending, completed
+    h = H(
+        Invoke(0, 0, op0, args0),
+        Invoke(1, 1, op1, args1), Response(2, 1, op1, resp),
     )
-    h_not_applied = H(
-        Invoke(0, 0, "insert", (5,)),
-        Invoke(1, 1, "find", (5,)), Response(2, 1, "find", False),
-    )
-    assert check_nrl(h_applied, SetModel()).ok
-    assert check_nrl(h_not_applied, SetModel()).ok
+    assert check_nrl(h, model).status == status
 
 
 def test_stack_model_lifo():
@@ -155,7 +165,7 @@ def test_exchange_pairs_with_pending_partner():
     assert check_nrl(h, ExchangeModel()).ok
 
 
-def test_oversized_history_per_key_decomposition():
+def test_long_sequential_set_history_is_checked_whole():
     events = []
     t = 0
     for k in range(30):
@@ -340,6 +350,40 @@ def _pinned_runs():
                                           max_crashes=2, seed=1,
                                           step_budget=pin.STEP_BUDGET, **kwargs):
             yield out.history, model(name, initial)
+
+
+PINNED_VERDICTS_SHA256 = "f1806039569e6e2032446cc5b4f278dabfbafccf5f455fc1e7573fd1281a238c"
+
+
+def _corrupted(history):
+    """``history`` with its middle response's value changed: a bool flipped,
+    any other value wrapped in a tuple."""
+    at = [i for i, ev in enumerate(history)
+          if isinstance(ev, (Response, RecoverResponse))]
+    if not at:
+        return None
+    i = at[len(at) // 2]
+    value = history[i].value
+    value = not value if isinstance(value, bool) else (value,)
+    corrupted = list(history)
+    corrupted[i] = dataclasses.replace(history[i], value=value)
+    return corrupted
+
+
+def test_pinned_verdicts_are_unchanged():
+    # every pinned history and a copy with one response corrupted, checked
+    # fresh (not through the memo); any change to a verdict moves the digest
+    digest = hashlib.sha256()
+    statuses = collections.Counter()
+    for history, model in _pinned_runs():
+        for h in (history, _corrupted(history)):
+            if h is None:
+                continue
+            v = checker._check(extract_ops(h), model)
+            digest.update(repr(_verdict(v)).encode() + b"\n")
+            statuses[v.status] += 1
+    assert statuses["OK"] > 2000 and statuses["VIOLATION"] > 2000
+    assert digest.hexdigest() == PINNED_VERDICTS_SHA256
 
 
 def test_memo_hits_equal_fresh_checks_over_the_pinned_corpora(monkeypatch):

@@ -85,6 +85,14 @@ def test_bench_subcommand_rejects_a_negative_prefill(capsys):
     assert capsys.readouterr().err.startswith("error: prefill ")
 
 
+def test_bench_rejects_an_unwritable_output_before_running(bench_configs,
+                                                          tmp_path, capsys):
+    rc = main(["bench", "--output", str(tmp_path / "missing" / "x.csv")])
+    assert rc == 2
+    assert bench_configs == []
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bench_two_variants_emit_comparable_rows(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
