@@ -2,8 +2,10 @@
 
 ``BaselineList`` is Harris's lock-free list, the non-recoverable original:
 nodes sorted by key between two sentinel nodes, logical deletion via a mark
-bit packed with the ``next`` reference, physical unlinking done lazily by
-traversals.  ``RecoverableList`` extends it and runs its traversals
+bit packed with the ``next`` reference in one link word, physical unlinking
+done lazily by traversals.  A link word is a :class:`MarkedRef`, a slotted
+value that a CAS compares by content; a traversal reads its two fields at
+every hop.  ``RecoverableList`` extends it and runs its traversals
 unchanged; it adds per-process tracking to the updates:
 
 * each update installs an :class:`ListInfo` record in ``rd`` and sets the
@@ -15,12 +17,13 @@ unchanged; it adds per-process tracking to the updates:
 
 ``flush_protocol=True`` adds the write-back ordering needed under a volatile
 cache, as in link-and-persist (David et al., USENIX ATC 2018): a link word
-carries a third bit, set by storing it as a :class:`PersistedRef`, meaning
-its ``(ref, marked)`` value was flushed before the bit was set.  A traversal
-that reads a word without the bit flushes the word's cell and then sets the
-bit with a CAS; every CAS that changes a link stores a plain ``MarkedRef``,
-which clears it.  So a traversal reads one cell per hop and flushes only the
-links nobody has persisted yet.  Losing the bit (a failed flag CAS) costs
+carries a third bit, set by storing it as a :class:`PersistedRef` (a
+``MarkedRef`` subclass with no fields of its own, equal to the plain word of
+the same value), meaning its ``(ref, marked)`` value was flushed before the
+bit was set.  A traversal that reads a word without the bit flushes the
+word's cell and then sets the bit with a CAS; every CAS that changes a link
+stores a plain ``MarkedRef``, which clears it.  So a traversal reads one
+cell per hop and flushes only the links nobody has persisted yet.  Losing the bit (a failed flag CAS) costs
 one redundant flush later, never durability.  Every checkpoint/result/
 deleter write is flushed immediately.
 """
@@ -161,7 +164,7 @@ class RecoverableList(BaselineList):
         still leads to ``word``'s node, so the flag's promise holds."""
         m = self.m
         m.flush(p, cell)
-        m.cas(p, cell, word, PersistedRef(*word), "flag")
+        m.cas(p, cell, word, PersistedRef(word.ref, word.marked), "flag")
 
     def _persist(self, p, cell) -> None:
         """Flush ``cell`` under the flush protocol; a no-op otherwise."""

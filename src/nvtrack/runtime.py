@@ -39,6 +39,13 @@ survives, which it does with the runtime's ``survival`` probability (0 by
 default: every unflushed write is lost).  The one assumption kept is that
 allocation is persistent: a cell's initial value, given to ``new_cell``, is
 already its persisted value.
+
+A cell holds one word.  A list link word, :class:`MarkedRef`, is a slotted
+value class and not a tuple: a traversal reads its ``ref`` and ``marked`` at
+every hop, and CPython reads a ``__slots__`` field faster than a namedtuple
+field, and builds a slotted object faster too.  Words compare by content, so
+a CAS's expected word may be freshly built, and are never mutated, since
+every cell that holds a word shares the object.
 """
 
 from __future__ import annotations
@@ -80,15 +87,38 @@ TIMEOUT = _Sentinel("TIMEOUT")
 RETRY = _Sentinel("RETRY")
 
 
-class MarkedRef(NamedTuple):
-    """A node reference and a logical-deletion bit, CAS-able as one unit."""
+class MarkedRef:
+    """A node reference and a logical-deletion bit, CAS-able as one unit.
 
-    ref: Any
-    marked: bool
+    A slotted value, not a tuple (see the module docstring): words with the
+    same ``ref`` and ``marked`` are equal and hash alike, and nothing writes
+    a word's fields after ``__init__``.
+    """
+
+    __slots__ = ("ref", "marked")
+
+    def __init__(self, ref: Any, marked: bool) -> None:
+        self.ref = ref
+        self.marked = marked
+
+    def __eq__(self, other: object) -> Any:
+        if not isinstance(other, MarkedRef):
+            return NotImplemented
+        return ((self.ref is other.ref or self.ref == other.ref)
+                and self.marked == other.marked)
+
+    def __hash__(self) -> int:
+        return hash((self.ref, self.marked))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(ref={self.ref!r}, marked={self.marked!r})"
 
 
 class UpdateWord(NamedTuple):
-    """A 2-bit coordination state and an operation-record reference, one word."""
+    """A 2-bit coordination state and an operation-record reference, one word.
+
+    It stays a NamedTuple: the BST reads no word field per tree level, so a
+    slotted class would buy its traversals nothing."""
 
     state: int
     info: Any
@@ -199,8 +229,9 @@ class NativeRuntime:
     """Real-thread backend: plain reads/writes, CAS under one lock, no crashes.
 
     Under the GIL more locks buy no parallelism, so every CAS takes the same
-    one.  ``flush`` emulates a cache-line writeback by copying the cached
-    value to the persisted slot.
+    one; ``cas`` compares before it takes it and swaps under it.  ``flush``
+    emulates a cache-line writeback by copying the cached value to the
+    persisted slot.
     """
 
     def __init__(self, nprocs: int, *, seed: int = 0) -> None:
@@ -224,12 +255,20 @@ class NativeRuntime:
             note: Optional[str] = None) -> bool:
         # ``with``, not acquire()/release(): an eval-breaker check follows the
         # acquire() call, so a thread could be switched out holding the lock,
-        # which collapsed 8-thread throughput in a trial.
-        with self._lock:
-            if cell.v == expected:
-                cell.v = new
-                return True
-            return False
+        # which collapsed 8-thread throughput in a trial.  The comparison runs
+        # before the lock for the same reason: a ``MarkedRef``'s ``__eq__`` is
+        # a Python call, where the interpreter may switch threads.  Values are
+        # never mutated, so the swap needs only that the cell still holds the
+        # object compared; a failed comparison takes effect at its read.  The
+        # identity test spares the call when ``expected`` is the word read.
+        while True:
+            old = cell.v
+            if old is not expected and old != expected:
+                return False
+            with self._lock:
+                if cell.v is old:
+                    cell.v = new
+                    return True
 
     def cas_fetch(self, pid: int, cell: Cell, expected: Any, new: Any) -> Any:
         with self._lock:

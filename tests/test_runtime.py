@@ -1,10 +1,14 @@
-"""Cell semantics, crash survival, and the invocation contract."""
+"""Cell and link-word semantics, crash survival, and the invocation contract."""
+
+import ast
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nvtrack
 from nvtrack.harness import Schedule, StructureAdapter, run_schedule
-from nvtrack.rlist import ListInfo
+from nvtrack.rlist import ListInfo, PersistedRef
 from nvtrack.runtime import (
     Abandoned,
     CLEAN,
@@ -41,12 +45,52 @@ def test_cas_success_and_failure():
 
 
 def test_markable_ref_cas_compares_both_components():
-    rt = SimRuntime(1)
+    # every expected word is freshly built: a CAS compares words by content
     node = object()
-    c = rt.new_cell(MarkedRef(node, False))
-    assert rt.cas(0, c, MarkedRef(node, True), MarkedRef(node, False)) is False
-    assert rt.cas(0, c, MarkedRef(node, False), MarkedRef(node, True)) is True
-    assert rt.read(0, c) == MarkedRef(node, True)
+    for rt in (NativeRuntime(1), SimRuntime(1)):
+        c = rt.new_cell(MarkedRef(node, False))
+        assert rt.cas(0, c, MarkedRef(node, True), MarkedRef(node, False)) is False
+        new = MarkedRef(node, True)
+        assert rt.cas(0, c, MarkedRef(node, False), new) is True
+        assert rt.read(0, c) is new
+
+
+def test_link_word_is_a_value_not_a_tuple():
+    node, other = object(), object()
+    word, flagged = MarkedRef(node, False), PersistedRef(node, False)
+    assert word == flagged and flagged == word
+    assert not word != flagged and hash(word) == hash(flagged)
+    assert MarkedRef([1], False) == MarkedRef([1], False)    # equal, not identical
+    assert word != MarkedRef(other, False)
+    assert word != MarkedRef(node, True)
+    assert not isinstance(word, tuple)
+    assert word != (node, False) and (node, False) != word
+    assert repr(MarkedRef(1, True)) == "MarkedRef(ref=1, marked=True)"
+    assert repr(PersistedRef(1, False)) == "PersistedRef(ref=1, marked=False)"
+
+
+def _word_field_stores(tree):
+    """Lines that store to, or delete, an attribute named ``ref`` or
+    ``marked`` outside ``MarkedRef.__init__``."""
+    init = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "MarkedRef":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    init.update(map(id, ast.walk(fn)))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("ref", "marked")
+            and isinstance(node.ctx, (ast.Store, ast.Del)) and id(node) not in init]
+
+
+def test_no_code_mutates_a_link_word():
+    # every cell holding a word shares the one object, so a write to a
+    # word's field would change every cell that holds it
+    assert _word_field_stores(ast.parse("w.marked = True\ndel w.ref")) == [1, 2]
+    found = [f"{path.name}:{line}"
+             for path in sorted(pathlib.Path(nvtrack.__file__).parent.glob("*.py"))
+             for line in _word_field_stores(ast.parse(path.read_text()))]
+    assert found == []
 
 
 def test_durable_mode_survives_crash():
@@ -347,6 +391,26 @@ def test_native_cas_fetch_returns_old_value_and_swaps_only_on_match():
         cell = rt.new_cell(word)
         assert rt.cas_fetch(0, cell, UpdateWord(CLEAN, "b"), "x") is word
         assert cell.v is word
+
+
+def test_native_cas_rereads_a_cell_written_during_its_comparison():
+    # NativeRuntime.cas compares before it takes the lock; a write landing
+    # inside the comparison, as another thread's would after a switch there,
+    # must make the CAS compare again and fail, not overwrite it
+    rt = NativeRuntime(1)
+    intruder = MarkedRef("b", False)
+
+    class Meddling(MarkedRef):
+        __slots__ = ()
+        __hash__ = MarkedRef.__hash__
+
+        def __eq__(self, other):
+            cell.v = intruder
+            return super().__eq__(other)
+
+    cell = rt.new_cell(Meddling("a", False))
+    assert rt.cas(0, cell, MarkedRef("a", False), MarkedRef("c", False)) is False
+    assert cell.v is intruder
 
 
 class _Count:
