@@ -15,7 +15,8 @@ a sweep counts no inconclusive verdict ok.
 A sequential model has an ``initial`` state; ``step(state, op, args, resp)``,
 the list of states the operation may leave, where ``resp`` is ``WILDCARD``
 (any response) for an operation with no response, which the search may also
-leave out; and ``final_ok(state)``, whether a linearization may end there.
+leave out, so a model need not yield the unchanged state for it; and
+``final_ok(state)``, whether a linearization may end there.
 
 Sweeps produce the same operation-level history many times over: crash runs
 that differ only in where the crash fell often fold into the same operation
@@ -95,7 +96,7 @@ class StackModel:
             return [state + (args[0],)] if resp is True or resp is WILDCARD else []
         if op == "pop":
             if not state:
-                return [state] if resp is EMPTY or resp is WILDCARD else []
+                return [state] if resp is EMPTY else []
             return [state[:-1]] if resp is WILDCARD or resp == state[-1] else []
         raise ValueError(f"unknown stack op {op}")
 
@@ -109,7 +110,8 @@ class ExchangeModel:
     State is None (no half-open exchange) or ``(value, response)`` of the
     exchange linearized first in its pair; the second of the pair must see
     its own value as that recorded response and respond with the first's
-    value.  A pending exchange opens with a WILDCARD response.
+    value.  A pending exchange opens a pair with a WILDCARD response or
+    closes one; the search leaves out one that timed out.
     """
 
     initial = None
@@ -118,13 +120,12 @@ class ExchangeModel:
         if resp is TIMEOUT:
             return [state]
         v = args[0]
-        out = [state] if resp is WILDCARD else []      # a pending one timed out
         if state is None:
-            return out + [(v, resp)]
+            return [(v, resp)]
         v0, r0 = state
         if (r0 is WILDCARD or r0 == v) and (resp is WILDCARD or resp == v0):
-            out.append(None)
-        return out
+            return [None]
+        return []
 
     def final_ok(self, state) -> bool:
         return state is None or state[1] is WILDCARD

@@ -1,5 +1,11 @@
 """Deterministic crash-injection harness over the simulated backend.
 
+Each adapter in :data:`STRUCTURES` names a structure class, its operations
+and its sequential model; :func:`structure_ops` builds the operations from
+the class's methods, so every operation's tracking and recovery live in its
+structure's module (the standalone timed exchange's in
+``TimedExchanger.tracked_exchange``).
+
 A :class:`Schedule` fixes an interleaving as (pid, step-count) quanta and the
 global step indices at which whole-system crashes fire.  A crash restarts
 every unfinished process on a fresh generator, in recovery if it was inside
@@ -56,8 +62,7 @@ from .checker import (
     check_strict_recoverability,
     op_shape,
 )
-from .runtime import (Abandoned, OpDef, REINVOKE, SimRuntime,
-                      StepBudgetExceeded, UNSET)
+from .runtime import Abandoned, OpDef, SimRuntime, StepBudgetExceeded, reinvoke
 
 
 # ---------------------------------------------------------------------------
@@ -72,76 +77,37 @@ class StructureAdapter:
     strict_exempt: tuple = READ_ONLY_OPS
 
 
-def _timed_exchange_call(obj, pid, value):
-    m = obj.m
-    m.write(pid, m.rd[pid], UNSET)
-    m.write(pid, m.cp[pid], 1)
-    return obj.exchange(pid, value, m.default_exchange_wait)
+def structure_ops(cls, *names: str) -> dict:
+    """Operation ``n`` of structure class ``cls`` for each name: it calls
+    ``cls.n``, recovers with ``cls.n_recover`` (``reinvoke`` if ``cls`` has
+    none), and records its persisted result unless it is read-only."""
+    return {n: OpDef(n, getattr(cls, n), getattr(cls, f"{n}_recover", reinvoke),
+                     is_update=n not in READ_ONLY_OPS)
+            for n in names}
 
 
-def _timed_exchange_recover(obj, pid, value):
-    m = obj.m
-    rec = m.read(pid, m.rd[pid])
-    if m.read(pid, m.cp[pid]) == 0 or rec is UNSET:
-        return REINVOKE
-    res = obj.recover(pid, rec)
-    return REINVOKE if res is UNSET else res
-
-
-def _make_timed_exchanger(rt):
-    default = rexchanger.ExchangeInfo(rt, rexchanger.EX_EMPTY, UNSET)
-    return rexchanger.TimedExchanger(rt, default)
-
-
-LIST_OPS = {
-    "insert": OpDef("insert", rlist.RecoverableList.insert,
-                    rlist.RecoverableList.insert_recover),
-    "delete": OpDef("delete", rlist.RecoverableList.delete,
-                    rlist.RecoverableList.delete_recover),
-    "find": OpDef("find", rlist.RecoverableList.find, is_update=False),
-}
-
-BST_OPS = {
-    "insert": OpDef("insert", rbst.RecoverableBst.insert,
-                    rbst.RecoverableBst.insert_recover),
-    "delete": OpDef("delete", rbst.RecoverableBst.delete,
-                    rbst.RecoverableBst.delete_recover),
-    "contains": OpDef("contains", rbst.RecoverableBst.contains,
-                      is_update=False),
-}
-
-STACK_OPS = {
-    "push": OpDef("push", rstack.EliminationStack.push,
-                  rstack.EliminationStack.push_recover),
-    "pop": OpDef("pop", rstack.EliminationStack.pop,
-                 rstack.EliminationStack.pop_recover),
-}
-
-EXCHANGER_OPS = {
-    "exchange": OpDef("exchange", rexchanger.Exchanger.exchange,
-                      rexchanger.Exchanger.exchange_recover),
-}
-
-TIMED_EXCHANGER_OPS = {
-    "exchange": OpDef("exchange", _timed_exchange_call, _timed_exchange_recover),
-}
+_list_ops = structure_ops(rlist.RecoverableList, "insert", "delete", "find")
 
 STRUCTURES = {
-    "list": StructureAdapter(
-        lambda rt: rlist.RecoverableList(rt), LIST_OPS, SetModel),
+    "list": StructureAdapter(rlist.RecoverableList, _list_ops, SetModel),
     "list-flush": StructureAdapter(
-        lambda rt: rlist.RecoverableList(rt, flush_protocol=True),
-        LIST_OPS, SetModel),
+        functools.partial(rlist.RecoverableList, flush_protocol=True),
+        _list_ops, SetModel),
     "stack": StructureAdapter(
-        lambda rt: rstack.EliminationStack(rt, slots=4, exchange_wait=24),
-        STACK_OPS, StackModel, strict_exempt=()),
+        functools.partial(rstack.EliminationStack, slots=4, exchange_wait=24),
+        structure_ops(rstack.EliminationStack, "push", "pop"), StackModel),
     "bst": StructureAdapter(
-        lambda rt: rbst.RecoverableBst(rt), BST_OPS, SetModel),
+        rbst.RecoverableBst,
+        structure_ops(rbst.RecoverableBst, "insert", "delete", "contains"),
+        SetModel),
     "exchanger": StructureAdapter(
-        lambda rt: rexchanger.Exchanger(rt), EXCHANGER_OPS,
-        ExchangeModel, strict_exempt=()),
+        rexchanger.Exchanger,
+        structure_ops(rexchanger.Exchanger, "exchange"), ExchangeModel),
     "exchanger-timed": StructureAdapter(
-        _make_timed_exchanger, TIMED_EXCHANGER_OPS,
+        rexchanger.TimedExchanger,
+        {"exchange": OpDef("exchange",
+                           rexchanger.TimedExchanger.tracked_exchange,
+                           rexchanger.TimedExchanger.tracked_exchange_recover)},
         ExchangeModel, strict_exempt=("exchange",)),
 }
 
@@ -303,9 +269,10 @@ def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
     Each quantum grants up to ``count`` steps to its pid and ends early once
     that process has finished; the quanta stop once every process has
     finished and no crash is pending.  Crashes due by the steps granted so
-    far fire before each grant, so with T the crash-free run's step count, a
-    crash at index T fires after every process has finished (and ends the
-    history) if any quantum entry remains, while one at T+1 never fires.
+    far fire before each quantum entry's grant and, in the drain, before
+    each round, so with T the crash-free run's step count, a crash at index
+    T fires after every process has finished (and ends the history) if any
+    quantum entry remains, while one at T+1 never fires.
 
     An exception raised inside an operation or recovery propagates out of
     this call once every process has been closed."""

@@ -230,7 +230,7 @@ class RecoverableBst(BaselineBst):
 
     def help_insert(self, p, op: InsertInfo) -> None:
         m = self.m
-        self.cas_child(p, op.p, op.l, op.new_internal, f"ichild:{id(op)}")
+        self.cas_child(p, op.p, op.l, op.new_internal, "ichild")
         m.write(p, op.result, True)
         m.cas(p, op.p.update, UpdateWord(IFLAG, op), UpdateWord(CLEAN, op),
               "iunflag")
@@ -241,7 +241,7 @@ class RecoverableBst(BaselineBst):
             other = m.read(p, op.p.left)
         else:
             other = m.read(p, op.p.right)
-        self.cas_child(p, op.gp, op.p, other, f"dchild:{id(op)}")
+        self.cas_child(p, op.gp, op.p, other, "dchild")
         m.write(p, op.result, True)
         m.cas(p, op.gp.update, UpdateWord(DFLAG, op), UpdateWord(CLEAN, op),
               "dunflag")

@@ -15,7 +15,8 @@ Two variants share the record type and one copy of the protocol:
 
 * :class:`TimedExchanger` -- the slot-addressed variant used by the
   elimination stack; a waiter whose deadline passes tries to reset the slot
-  and reports TIMEOUT, unless a collision sneaks in first.
+  and reports TIMEOUT, unless a collision sneaks in first.  Standalone, it
+  is tracked through CP_p and RD_p by its ``tracked_exchange`` methods.
 * :class:`Exchanger` -- the unbounded-wait variant, the timed one with an
   infinite deadline (a lone caller spins until the simulated step budget
   runs out; not lock-free by design).  Its recovery resumes waiting where
@@ -25,7 +26,7 @@ Two variants share the record type and one copy of the protocol:
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Optional
 
 from .runtime import REINVOKE, InfoRecord, Structure, TIMEOUT, UNSET
 
@@ -46,10 +47,10 @@ class ExchangeInfo(InfoRecord):
 class TimedExchanger(Structure):
     """One elimination-array entry; exchanges give up after ``timeout``."""
 
-    def __init__(self, m, default: ExchangeInfo):
+    def __init__(self, m, default: Optional[ExchangeInfo] = None):
         self.m = m
-        self.default = default
-        self.slot = m.new_cell(default)
+        self.default = default or ExchangeInfo(m, EX_EMPTY, UNSET)
+        self.slot = m.new_cell(self.default)
 
     def exchange(self, p, value, timeout) -> Any:
         m = self.m
@@ -138,12 +139,28 @@ class TimedExchanger(Structure):
                 self._complete(p, myop)
         return m.read(p, myop.result)
 
+    # -- a standalone exchange, tracked through cp and rd --------------------
+
+    def tracked_exchange(self, p, value) -> Any:
+        """An exchange with the runtime's default wait, tracked: it resets
+        RD_p and sets CP_p first.  It names ``TimedExchanger.exchange``, so
+        an ``Exchanger``, whose ``exchange`` takes no timeout, can run it."""
+        m = self.m
+        m.write(p, m.rd[p], UNSET)
+        m.write(p, m.cp[p], 1)
+        return TimedExchanger.exchange(self, p, value, m.default_exchange_wait)
+
+    def tracked_exchange_recover(self, p, value) -> Any:
+        m = self.m
+        rec = m.read(p, m.rd[p])
+        if m.read(p, m.cp[p]) == 0 or rec is UNSET:
+            return REINVOKE
+        res = self.recover(p, rec)
+        return REINVOKE if res is UNSET else res
+
 
 class Exchanger(TimedExchanger):
     """Single-slot exchanger whose callers wait until somebody collides."""
-
-    def __init__(self, m):
-        super().__init__(m, ExchangeInfo(m, EX_EMPTY, UNSET))
 
     def exchange(self, p, value) -> Any:
         m = self.m

@@ -229,9 +229,9 @@ class NativeRuntime:
     """Real-thread backend: plain reads/writes, CAS under one lock, no crashes.
 
     Under the GIL more locks buy no parallelism, so every CAS takes the same
-    one; ``cas`` compares before it takes it and swaps under it.  ``flush``
-    emulates a cache-line writeback by copying the cached value to the
-    persisted slot.
+    one; ``cas`` and ``cas_fetch`` compare before they take it and swap
+    under it.  ``flush`` emulates a cache-line writeback by copying the
+    cached value to the persisted slot.
     """
 
     def __init__(self, nprocs: int, *, seed: int = 0) -> None:
@@ -271,11 +271,15 @@ class NativeRuntime:
                     return True
 
     def cas_fetch(self, pid: int, cell: Cell, expected: Any, new: Any) -> Any:
-        with self._lock:
+        # as ``cas``: compare outside the lock, swap only the object compared
+        while True:
             old = cell.v
-            if old == expected:
-                cell.v = new
-            return old
+            if old is not expected and old != expected:
+                return old
+            with self._lock:
+                if cell.v is old:
+                    cell.v = new
+                    return old
 
     def flush(self, pid: int, cell: Cell) -> None:
         cell.p = cell.v

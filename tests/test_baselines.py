@@ -3,10 +3,13 @@
 Each baseline runs crash-free on the simulator over every default pattern
 and several seeds, with processes contending for the same keys (or the same
 stack top), and each history is checked against the sequential model.
-Recovery never runs, so an adapter's recovery function is its call.  The
-stack gets three processes: with two, the one whose top CAS fails finds its
-rival already past the stack, so no elimination exchange ever pairs up.
+The adapters come from ``structure_ops``; a baseline has no recovery
+functions, so each operation's recovery is ``reinvoke``, which never runs.
+The stack gets three processes: with two, the one whose top CAS fails finds
+its rival already past the stack, so no elimination exchange ever pairs up.
 """
+
+import functools
 
 import pytest
 
@@ -18,30 +21,27 @@ from nvtrack.harness import (
     StructureAdapter,
     pattern_quanta,
     run_schedule,
+    structure_ops,
 )
 from nvtrack.rbst import BaselineBst
 from nvtrack.rlist import BaselineList
 from nvtrack.rstack import BaselineStack
-from nvtrack.runtime import OpDef
 
 SEEDS = range(20)
 STEP_BUDGET = 600
 PIDS = {"list": 2, "bst": 2, "stack": 3}
 
 
-def _adapter(cls, queries, updates, model, make=None):
-    ops = {op: OpDef(op, getattr(cls, op), getattr(cls, op), is_update=False)
-           for op in queries}
-    ops.update({op: OpDef(op, getattr(cls, op), getattr(cls, op))
-                for op in updates})
-    return StructureAdapter(make or cls, ops, model)
-
-
 BASELINES = {
-    "list": _adapter(BaselineList, ("find",), ("insert", "delete"), SetModel),
-    "bst": _adapter(BaselineBst, ("contains",), ("insert", "delete"), SetModel),
-    "stack": _adapter(BaselineStack, (), ("push", "pop"), StackModel,
-                      make=lambda rt: BaselineStack(rt, slots=1, exchange_wait=24)),
+    "list": StructureAdapter(
+        BaselineList, structure_ops(BaselineList, "insert", "delete", "find"),
+        SetModel),
+    "bst": StructureAdapter(
+        BaselineBst, structure_ops(BaselineBst, "insert", "delete", "contains"),
+        SetModel),
+    "stack": StructureAdapter(
+        functools.partial(BaselineStack, slots=1, exchange_wait=24),
+        structure_ops(BaselineStack, "push", "pop"), StackModel),
 }
 
 

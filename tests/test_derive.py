@@ -12,10 +12,10 @@ from nvtrack import derive, rlist
 from nvtrack.cli import default_workload
 from nvtrack.harness import STRUCTURES, Schedule, pattern_quanta, run_schedule
 from nvtrack.rbst import BaselineBst, RecoverableBst
-from nvtrack.rexchanger import EX_EMPTY, ExchangeInfo, Exchanger, TimedExchanger
+from nvtrack.rexchanger import Exchanger, TimedExchanger
 from nvtrack.rlist import BaselineList, RecoverableList
 from nvtrack.rstack import BaselineStack, EliminationStack
-from nvtrack.runtime import Cell, NativeRuntime, SimRuntime, Structure, UNSET
+from nvtrack.runtime import Cell, NativeRuntime, SimRuntime, Structure
 
 
 def _plain(fn) -> bool:
@@ -335,7 +335,7 @@ def test_native_variant_matches_observed_reads(monkeypatch, name):
 
 
 @pytest.mark.parametrize("make", [
-    Exchanger, lambda m: TimedExchanger(m, ExchangeInfo(m, EX_EMPTY, UNSET))],
+    Exchanger, TimedExchanger],
     ids=["exchanger", "exchanger-timed"])
 def test_native_exchangers_pair_like_observed_ones(run_threads, monkeypatch, make):
     """Two threads, each exchanging its own values in turn: the i-th

@@ -249,6 +249,18 @@ def test_crash_after_the_final_step_never_fires():
     assert out.granted == steps and not out.inconclusive
 
 
+@pytest.mark.parametrize("crash, fired", [(1, 1), (2, 3)])
+def test_drain_fires_a_due_crash_before_its_next_round(crash, fired):
+    # one planned step, then the drain: a crash due after the quanta fires
+    # at once, and one falling inside a drain round fires once that round
+    # (a step of each process) is over
+    out = run_schedule(LIST, TWO_INSERTS, Schedule(((0, 1),), (crash,)))
+    assert [e for e in out.history if isinstance(e, CrashEvent)] \
+        == [CrashEvent(fired)]
+    assert not out.inconclusive
+    assert [e.value for e in out.history if hasattr(e, "value")] == [True, True]
+
+
 @pytest.mark.parametrize("crashes", [(), (3,), (2, 9)])
 def test_empty_quanta_and_quanta_of_finished_processes_change_nothing(crashes):
     quanta = ((0, 2), (1, 3), (0, 400), (1, 1), (1, 400))

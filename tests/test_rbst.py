@@ -189,6 +189,20 @@ def test_update_word_state_machine_is_legal(tracing):
         assert structural_change_once_per_record(out.rt.trace)
 
 
+def test_structural_change_predicate_flags_a_second_win_on_one_node():
+    # synthetic traces: entries are (kind, pid, cell, old, new, ok, note, step)
+    leaf, node, other = Leaf(1), object(), object()
+    install = ("cas", 0, None, leaf, node, True, "ichild", 1)
+    remove = ("cas", 1, None, node, other, True, "dchild", 2)
+    # the node an insert installs may later be the parent a delete removes
+    assert structural_change_once_per_record([install, remove])
+    assert not structural_change_once_per_record([install, install])
+    assert not structural_change_once_per_record([remove, remove])
+    # a lost CAS is no win
+    lost = ("cas", 1, None, leaf, node, False, "ichild", 3)
+    assert structural_change_once_per_record([install, lost])
+
+
 @given(st.lists(st.tuples(st.sampled_from(["insert", "delete", "contains"]),
                           st.integers(0, 11)), max_size=60))
 @settings(max_examples=100, deadline=None)

@@ -14,6 +14,7 @@ from nvtrack.harness import (
     pattern_quanta,
     run_direct,
     run_schedule,
+    structure_ops,
 )
 from nvtrack.checker import StackModel, check_nrl, check_strict_recoverability
 from nvtrack.rstack import BaselineStack, CentralInfo, EliminationStack, StackNode
@@ -298,8 +299,7 @@ def _recording(cls):
 
 
 STACK_OPS = {EliminationStack: STACK.ops,
-             BaselineStack: {"push": OpDef("push", BaselineStack.push),
-                             "pop": OpDef("pop", BaselineStack.pop)}}
+             BaselineStack: structure_ops(BaselineStack, "push", "pop")}
 
 
 def _losing_push(cls, losses, crash_steps=()):

@@ -393,8 +393,9 @@ def test_native_cas_fetch_returns_old_value_and_swaps_only_on_match():
         assert cell.v is word
 
 
-def test_native_cas_rereads_a_cell_written_during_its_comparison():
-    # NativeRuntime.cas compares before it takes the lock; a write landing
+@pytest.mark.parametrize("method", ["cas", "cas_fetch"])
+def test_native_cas_rereads_a_cell_written_during_its_comparison(method):
+    # NativeRuntime's CAS compares before it takes the lock; a write landing
     # inside the comparison, as another thread's would after a switch there,
     # must make the CAS compare again and fail, not overwrite it
     rt = NativeRuntime(1)
@@ -409,7 +410,8 @@ def test_native_cas_rereads_a_cell_written_during_its_comparison():
             return super().__eq__(other)
 
     cell = rt.new_cell(Meddling("a", False))
-    assert rt.cas(0, cell, MarkedRef("a", False), MarkedRef("c", False)) is False
+    res = getattr(rt, method)(0, cell, MarkedRef("a", False), MarkedRef("c", False))
+    assert res is (False if method == "cas" else intruder)
     assert cell.v is intruder
 
 

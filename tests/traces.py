@@ -104,13 +104,18 @@ def pushed_before_pop(trace) -> bool:
 
 
 def structural_change_once_per_record(trace) -> bool:
-    """Tree records win at most one child-swap CAS despite helpers/crashes."""
+    """Tree records win at most one child-swap CAS despite helpers/crashes:
+    an insert's new internal node is swapped in once (``ichild``), and a
+    delete's parent is swapped out once (``dchild``).  The note is part of
+    the key, since an internal node an insert installs may later be the
+    parent a delete removes."""
     wins = set()
-    for kind, _pid, _cell, _old, _new, ok, note, _t in trace:
-        if kind == "cas" and ok and note and note.startswith(("ichild:", "dchild:")):
-            if note in wins:
+    for kind, _pid, _cell, old, new, ok, note, _t in trace:
+        if kind == "cas" and ok and note in ("ichild", "dchild"):
+            key = (note, id(new if note == "ichild" else old))
+            if key in wins:
                 return False
-            wins.add(note)
+            wins.add(key)
     return True
 
 
