@@ -367,7 +367,6 @@ class SimRuntime:
         self.cp = [Cell(0, True) for _ in range(nprocs)]
         self.rd = [Cell(UNSET, True) for _ in range(nprocs)]
         self._cells = self.cp + self.rd        # every cell of its memory
-        self._vcells: list[Cell] = []
         self._durable = cache == "durable"     # every new cell's mode
         self._seed = seed
         self._rng: Optional[random.Random] = None   # made at its first draw
@@ -400,8 +399,6 @@ class SimRuntime:
                  owner: Optional[int] = None) -> Cell:
         cell = Cell(value, self._durable)
         self._cells.append(cell)
-        if not self._durable:
-            self._vcells.append(cell)
         return cell
 
     def _gate(self, pid: int) -> None:
@@ -494,15 +491,17 @@ class SimRuntime:
             for pid in self.live:
                 procs[pid] = run_ops(pid, self._workload[pid], self._park,
                                      self._op_index[pid], pid in crashed)
-        self._emit(CrashEvent(self.steps))
+        if self._record:
+            self.history.append(CrashEvent(self.steps))
         if survival and self._rng is None:
             self._rng = random.Random(self._seed)
-        for cell in self._vcells:
-            if cell.v is not cell.p and cell.v != cell.p:
-                if survival and self._rng.random() < survival:
-                    cell.p = cell.v
-                else:
-                    cell.v = cell.p
+        if not self._durable:   # CP and RD are durable: only new cells revert
+            for cell in self._cells:
+                if cell.v is not cell.p and cell.v != cell.p:
+                    if survival and self._rng.random() < survival:
+                        cell.p = cell.v
+                    else:
+                        cell.v = cell.p
         for pid in sorted(self.live):
             if pid in crashed:
                 self.dispatch_recovery(pid)
@@ -522,13 +521,13 @@ class SimRuntime:
         reference, since :meth:`crash` leaves them untouched."""
         return (self.steps, None if self._rng is None else self._rng.getstate(),
                 [(c, c.v, c.p) for c in self._cells], len(self._cells),
-                len(self._vcells), self.history, self._op_steps, self._op_index,
+                self.history, self._op_steps, self._op_index,
                 self._procs, self._at, self.live)
 
     def restore(self, saved: tuple) -> None:
         """Put the run back as :meth:`save` found it, so its paused
         processes can go on; processes started since must be closed first."""
-        (self.steps, rng, values, ncells, nvcells, self.history,
+        (self.steps, rng, values, ncells, self.history,
          self._op_steps, self._op_index, self._procs, self._at, self.live) = saved
         if rng is None:
             self._rng = None
@@ -537,14 +536,9 @@ class SimRuntime:
         for cell, v, p in values:
             cell.v, cell.p = v, p
         del self._cells[ncells:]
-        del self._vcells[nvcells:]
         self._granted = None
 
     # -- operations ---------------------------------------------------------
-
-    def _emit(self, event: Any) -> None:
-        if self._record:
-            self.history.append(event)
 
     def _persisted_result(self, pid: int) -> Any:
         rd = self.rd[pid].p
@@ -570,7 +564,8 @@ class SimRuntime:
                 self.invoke_reset(pid)
                 resp = opdef.call(self.obj, pid, *args)
         except StepBudgetExceeded:
-            self._emit(Abandoned(self.steps, pid, opdef.name))
+            if self._record:
+                self.history.append(Abandoned(self.steps, pid, opdef.name))
             raise
         if self._record:
             snap = self._persisted_result(pid) if opdef.is_update else UNSET

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import nvtrack
-from nvtrack import bench, checker, cli
+from nvtrack import bench, checker, cli, harness
 from nvtrack.bench import BUILDERS, BenchConfig, BenchResult
 from nvtrack.cli import main
 
@@ -93,6 +93,37 @@ def test_bench_rejects_an_unwritable_output_before_running(bench_configs,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_bench_sweeps_read_pct_then_threads_then_the_variant_table(
+        bench_configs, capsys):
+    assert main(["bench", "--structure", "bst", "list", "--variant",
+                 "recoverable", "base", "--threads", "2", "1",
+                 "--read-pct", "70", "30", "--ops", "5"]) == 0
+    table = [("list", "base"), ("list", "recoverable"), ("bst", "base"),
+             ("bst", "recoverable")]
+    assert bench_configs == [
+        BenchConfig(structure=s, variant=v, threads=threads, read_pct=read_pct,
+                    total_ops=5)
+        for read_pct in (70, 30) for threads in (2, 1) for s, v in table]
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 1 + len(bench_configs)
+    assert rows[1].startswith("list,base,2,70,") and rows[-1].startswith("bst,recoverable,1,30,")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--structure", "list", "stack", "--read-pct", "30"], "the stack has no read"),
+    (["--threads", "1", "0"], "threads, total_ops and runs must be positive"),
+    (["--structure", "list-flush", "--variant", "base"],
+     "structure/variant must be one of: list/base, list/recoverable, "
+     "list-flush/recoverable,")])
+def test_bench_validates_every_config_before_the_first_run(bench_configs, capsys,
+                                                           argv, message):
+    assert main(["bench"] + argv) == 2
+    assert bench_configs == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_bench_two_variants_emit_comparable_rows(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -116,6 +147,53 @@ def test_verify_subcommand_passes_on_list(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("PASS list.detectability:")
+
+
+def test_verify_sweeps_the_structures_in_the_order_given(capsys):
+    rc = main(["verify", "--structure", "bst", "list", "--pids", "2",
+               "--ops-per-pid", "1", "--samples", "2", "--budget", "300"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS bst.detectability", "PASS list.detectability"]
+
+
+def test_verify_fails_if_any_sweep_fails_and_prints_every_line(capsys):
+    # 12 steps finish both set-up inserts, but too few of the BST's operations
+    rc = main(["verify", "--structure", "bst", "list", "--pids", "2",
+               "--ops-per-pid", "1", "--budget", "12"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines[0].startswith("FAIL bst.detectability: 5 runs ")
+    assert lines[-1].startswith("PASS list.detectability: ")
+
+
+def test_verify_checks_every_set_up_before_the_first_sweep(capsys):
+    # the exchanger has no set-up; the BST's insert needs more than 8 steps
+    rc = main(["verify", "--structure", "exchanger", "bst", "--pids", "2",
+               "--ops-per-pid", "1", "--budget", "8"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: set-up operation insert(5,) ")
+
+
+def test_verify_sweeps_every_structure_by_default(capsys):
+    rc = main(["verify", "--pids", "2", "--ops-per-pid", "1", "--samples", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert [line.split(":")[0] for line in lines] == [
+        f"PASS {name}.detectability" for name in harness.STRUCTURES]
+    assert len(lines) == 6
+
+
+def test_verify_rejects_an_unpaired_exchanger_workload_before_any_sweep(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--pids", "3", "--ops-per-pid", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "an exchange with no partner" in captured.err
 
 
 def test_verify_subcommand_samples_mode(capsys):

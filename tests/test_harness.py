@@ -283,7 +283,7 @@ def _left_state(obj):
 def _summary(outcome):
     rt = outcome.rt
     return (outcome.label, outcome.granted, outcome.inconclusive, outcome.error,
-            outcome.history, rt.steps, len(rt._cells), len(rt._vcells),
+            outcome.history, rt.steps, len(rt._cells),
             _left_state(outcome.obj))
 
 
