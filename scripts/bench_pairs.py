@@ -12,7 +12,10 @@ values, median, quartiles and IQR, and for each metric the ratio of medians
 far the new median is worse than the base's, as a fraction of the base's (0
 if it is not worse), to be read against ``bound``.  With ``--trace-seconds``
 it adds one ``--trace 1`` run per side and workload and records every
-per-layer metric it prints.
+per-layer metric it prints.  Every run imports both sides from one fixed
+state: it writes no bytecode and reads none left in a checkout, since its
+``PYTHONPYCACHEPREFIX`` is a fresh empty directory, so a ``__pycache__``
+left on one side by another run cannot move ``setup_s``.
 
     python3 scripts/bench_pairs.py ../base . --pairs 10 --seconds 50 \\
         --seed 11 --trace-seconds 10 --out BENCH.json
@@ -26,13 +29,18 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One ``nvbench/run.py`` run in ``checkout``; its final JSON line."""
     cmd = [sys.executable, "nvbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPYCACHEPREFIX=pycache)
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              env=env)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} printed nothing:\n"

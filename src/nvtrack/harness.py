@@ -36,7 +36,17 @@ once it has been yielded, the runtime is restored.  Each crash run's
 outcome equals that of a fresh :func:`run_schedule` on its schedule, but
 its ``rt`` and ``obj`` are valid only until the next outcome is requested.
 Starting a recovery takes no step, so the order in which recoveries start
-is unobservable and is not enumerated.  :func:`detectability_sweep`
+is unobservable and is not enumerated.
+
+:func:`run_direct` runs a single-process workload synchronously, and its
+runs share their crash-free prefix too.  Each thread keeps one entry, for
+the last direct workload it ran (keyed by the ``SimRuntime`` class, the
+adapter's identity, the operations, set-up, cache and seed): the runtime,
+the structure and a save at each operation boundary reached before any
+crash fired.  A run restores the last boundary at or before its first
+crash and re-executes only the operations from there, so its crash numbering
+and history are those of a fresh run; its ``rt`` and ``obj`` are valid only
+until the next ``run_direct`` call in that thread.  :func:`detectability_sweep`
 bundles that with the crash-extended linearizability and
 strict-recoverability checks; a run whose operation or recovery raises is
 reported as an errored violation instead of aborting the sweep.  To see
@@ -46,8 +56,11 @@ every access of a run, install a ``SimRuntime`` subclass as
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 import random
+import threading
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
@@ -281,22 +294,71 @@ def run_schedule(adapter: StructureAdapter, workload: dict, schedule: Schedule,
     return _run(rt, obj, schedule, label)
 
 
+class _DirectRun:
+    """A thread's last direct workload: its key, runtime and structure, and
+    the crash-free run's saves at the operation boundaries reached so far
+    (``saves[i]``, taken before operation ``i``, at step count ``steps[i]``)."""
+
+    def __init__(self, key: tuple, rt: SimRuntime, obj: Any, bound: list) -> None:
+        self.key, self.rt, self.obj, self.bound = key, rt, obj, bound
+        self.saves, self.steps = [rt.save()], [rt.steps]
+
+    def matches(self, key: tuple) -> bool:
+        # the adapter by identity, not field by field: a copy of it (as
+        # ``dataclasses.replace`` makes) gets a runtime of its own
+        mine = self.key
+        return mine[0] is key[0] and mine[1] is key[1] and mine[2:] == key[2:]
+
+
+_direct = threading.local()
+
+
 def run_direct(adapter: StructureAdapter, ops: Sequence, *, setup: Sequence = (),
                cache: str = "durable", seed: int = 0,
                crash_steps: Sequence[int] = ()) -> RunOutcome:
     """Single-process run on the calling thread, with planned crash steps
     (recorded sorted, in firing order).  A crash loses every unflushed write.
 
+    Runs of one workload share their crash-free prefix.  Each thread keeps
+    one entry, for the last workload it ran: keyed by ``SimRuntime`` (the
+    class installed as ``harness.SimRuntime`` at call time), the adapter (by
+    identity), ``ops``, ``setup``, ``cache`` and ``seed``, it holds the
+    runtime, the structure and a save at each operation boundary that a run
+    of it reached before any crash fired; the crash-free run reaches them
+    all.  A run resumes from the last saved boundary whose step count is at
+    most that of its first crash (a crash at operation ``i``'s first step
+    fires inside operation ``i``, after its ``Invoke``) and runs the
+    operations from there; with no entry for its workload it builds a fresh
+    runtime.  Crash numbering and histories are those of a fresh run.  So
+    the outcome's ``rt`` and ``obj`` are valid only until the next
+    ``run_direct`` call in this thread; its history stays valid.
+
     An exception raised inside an operation or recovery propagates."""
     # seed has no effect (only a nonzero survival draws from the rng), but
     # nvbench/verify.py passes it
-    rt, obj = prepared_runtime(adapter, 1, setup, cache=cache, seed=seed,
-                               step_budget=100_000)
     crashes = tuple(sorted(crash_steps))
-    base = rt.steps               # crash indices are relative to the workload
-    bound = [(adapter.ops[name], args) for name, args in ops]
-    rt.run_ops_direct(0, bound, [base + c for c in crashes])
-    return RunOutcome(rt.history, rt, obj, Schedule(crashes=crashes),
+    key = (SimRuntime, adapter, tuple(ops), tuple(setup), cache, seed)
+    run = getattr(_direct, "run", None)
+    if run is None or not run.matches(key):
+        rt, obj = prepared_runtime(adapter, 1, setup, cache=cache, seed=seed,
+                                   step_budget=100_000)
+        run = _direct.run = _DirectRun(
+            key, rt, obj, [(adapter.ops[name], args) for name, args in ops])
+    rt, base, saves = run.rt, run.steps[0], run.saves
+    first = base + crashes[0] if crashes else math.inf
+    # a crash planned before the workload never fires, as in a fresh run
+    start = max(bisect.bisect_right(run.steps, first) - 1, 0)
+    rt.restore(saves[start])
+
+    def boundary(pid: int, i: int) -> None:
+        # only the crash-free run's boundaries: no crash fires before ``first``
+        if i == len(saves) and rt.steps < first:
+            saves.append(rt.save())
+            run.steps.append(rt.steps)
+
+    rt.run_ops_direct(0, run.bound, [base + c for c in crashes], start=start,
+                      wait=boundary)
+    return RunOutcome(rt.history, rt, run.obj, Schedule(crashes=crashes),
                       rt.steps - base)
 
 

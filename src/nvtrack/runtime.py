@@ -468,18 +468,17 @@ class SimRuntime:
         are reverted: one paused inside an operation goes straight into that
         operation's recovery and pauses at its first gate, and one parked
         before an operation parks there again.  The crash runs on copies of
-        the history and of the per-process lists, so a run saved before it
-        can be restored.  Starting a recovery takes no step, and no recovery
-        allocates a cell before its first shared-cell access, so no other
-        order could change the history beyond the order of the
-        ``RecoverBegin`` events, which all carry the crash's ``t``."""
+        the process table and of the lists :meth:`save` keeps by reference,
+        so a run saved before it can be restored.  Starting a recovery takes
+        no step, and no recovery allocates a cell before its first
+        shared-cell access, so no other order could change the history
+        beyond the order of the ``RecoverBegin`` events, which all carry the
+        crash's ``t``."""
         if survival is None:
             survival = self.survival
         crashed = ()
         if self._procs:
             run_ops = derive.twin(self._run_ops)
-            self.history = self.history[:]
-            self._op_steps = self._op_steps[:]
             self._op_index = self._op_index[:]
             self.live = set(self.live)
             self._procs = procs = self._procs[:]
@@ -515,27 +514,33 @@ class SimRuntime:
 
         A run's simulated state is its cells plus its processes' frames: no
         structure keeps state outside cells, and each process's locals live
-        in its generator.  Process mode, between steps.  Values are copied:
-        every cell's ``v``/``p``, the step count and the crash rng's state.
-        The process table, history and per-process lists are kept by
-        reference, since :meth:`crash` leaves them untouched."""
+        in its generator.  Between steps in process mode, or between
+        operations in direct mode.  Values are copied: the list of cells and
+        every cell's ``v``/``p``, the history, the per-operation step counts,
+        the step count and the crash rng's state.  The process table and the
+        other per-process lists are kept by reference, since :meth:`crash`
+        leaves them untouched."""
+        cells = self._cells[:]
         return (self.steps, None if self._rng is None else self._rng.getstate(),
-                [(c, c.v, c.p) for c in self._cells], len(self._cells),
-                self.history, self._op_steps, self._op_index,
-                self._procs, self._at, self.live)
+                cells, [c.v for c in cells], [c.p for c in cells], self.history[:],
+                self._op_steps[:], self._op_index, self._procs, self._at, self.live)
 
     def restore(self, saved: tuple) -> None:
         """Put the run back as :meth:`save` found it, so its paused
-        processes can go on; processes started since must be closed first."""
-        (self.steps, rng, values, ncells, self.history,
-         self._op_steps, self._op_index, self._procs, self._at, self.live) = saved
+        processes can go on; processes started since must be closed first.
+        The cells and history are restored by value, so saved direct-mode
+        runs can be restored any number of times, in any order."""
+        (self.steps, rng, cells, vs, ps, history, op_steps,
+         self._op_index, self._procs, self._at, self.live) = saved
         if rng is None:
             self._rng = None
         else:
             self._rng.setstate(rng)
-        for cell, v, p in values:
+        for cell, v, p in zip(cells, vs, ps):
             cell.v, cell.p = v, p
-        del self._cells[ncells:]
+        self._cells = cells[:]
+        self.history = history[:]
+        self._op_steps = op_steps[:]
         self._granted = None
 
     # -- operations ---------------------------------------------------------
@@ -608,18 +613,20 @@ class SimRuntime:
         return self._run_op(pid, opdef, args, False)
 
     def run_ops_direct(self, pid: int, ops: Sequence[tuple[OpDef, tuple]],
-                       crash_steps: Sequence[int] = ()) -> bool:
+                       crash_steps: Sequence[int] = (), *, start: int = 0,
+                       wait: Optional[Callable[[int, int], None]] = None) -> bool:
         """Run a single-process workload with crashes planned at step indices.
 
         A crash planned at index ``c`` fires after ``c`` shared-cell accesses
         have executed; the failed operation is then recovered (repeatedly, if
         further crashes land inside recovery) before the workload continues.
+        The run starts at operation ``start``; ``wait`` is ``_run_ops``'s.
         Returns False if an operation exhausted its step budget.
         """
         if self._procs:
             raise RuntimeError("direct runs are unavailable after start_workers()")
         self._crash_plan = sorted(crash_steps)
-        return self._run_ops(pid, ops)
+        return self._run_ops(pid, ops, wait, start)
 
     def record(self, on: bool) -> None:
         self._record = on

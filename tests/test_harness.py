@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import random
 import threading
 
 import pytest
@@ -57,6 +58,95 @@ def test_run_direct_records_its_crashes_sorted():
     ordered = run_direct(LIST, ops, crash_steps=[2, 9])
     assert given.schedule.crashes == ordered.schedule.crashes == (2, 9)
     assert given.history == ordered.history
+
+
+SET_SCAN = [("insert", (7,)), ("delete", (5,)), ("find", (7,))]
+DIRECT_CASES = {
+    "list": (SET_SCAN, (("insert", (5,)),), "durable"),
+    "list-flush": (SET_SCAN, (("insert", (5,)),), "volatile"),
+    "bst": ([("insert", (7,)), ("delete", (5,)), ("contains", (7,))],
+            (("insert", (5,)),), "durable"),
+    "stack": ([("push", (7,)), ("pop", ()), ("pop", ())], (("push", (5,)),),
+              "durable"),
+}
+
+
+def _direct_view(out):
+    return out.history, out.granted, out.obj.snapshot()
+
+
+def _fresh_direct(adapter, ops, crashes=(), **kw):
+    """A run of ``adapter``'s copy: no other run shares its workload's key."""
+    return _direct_view(run_direct(dataclasses.replace(adapter), ops,
+                                   crash_steps=crashes, **kw))
+
+
+def _counting_builds(monkeypatch):
+    builds = []
+    prepared = harness.prepared_runtime
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return prepared(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "prepared_runtime", counted)
+    return builds
+
+
+@pytest.mark.parametrize("name", DIRECT_CASES)
+def test_direct_runs_resume_and_equal_fresh_runs_in_any_order(monkeypatch, name):
+    adapter = STRUCTURES[name]
+    ops, setup, cache = DIRECT_CASES[name]
+    kw = dict(setup=setup, cache=cache)
+    total = run_direct(dataclasses.replace(adapter), ops, **kw).granted
+    # a crash planned before the workload never fires, in a fresh run too
+    plans = [(), (-1,)] + [(c,) for c in range(total)] + \
+        [(c1, c2) for c1 in range(total) for c2 in range(c1 + 1, total)]
+    expected = {plan: _fresh_direct(adapter, ops, plan, **kw) for plan in plans}
+    random.Random(name).shuffle(plans)
+    builds = _counting_builds(monkeypatch)
+    for plan in plans:
+        out = run_direct(adapter, ops, crash_steps=plan, **kw)
+        assert _direct_view(out) == expected[plan], plan
+    assert len(builds) == 1                # every later run resumed a boundary
+
+
+def test_direct_run_after_one_that_raised_equals_a_fresh_run():
+    # the recovery of ``touch`` raises, so a crash inside ``touch`` ends its
+    # run mid-operation; the next run restores a boundary all the same
+    def touch(obj, pid):
+        return obj.m.read(pid, obj.head.next).marked
+
+    def boom(obj, pid):
+        raise ValueError("boom")
+
+    adapter = dataclasses.replace(LIST, ops=dict(
+        LIST.ops, touch=OpDef("touch", touch, boom, is_update=False)))
+    ops = [("insert", (5,)), ("touch", ()), ("delete", (5,))]
+    probe = run_direct(adapter, ops)
+    [inside] = [e.t for e in probe.history
+                if isinstance(e, Invoke) and e.op == "touch"]
+    for after in (inside + 3, 0, inside + 1):
+        with pytest.raises(ValueError, match="boom"):
+            run_direct(adapter, ops, crash_steps=(inside,))
+        out = run_direct(adapter, ops, crash_steps=(after,))
+        assert _direct_view(out) == _fresh_direct(adapter, ops, (after,)), after
+
+
+def test_direct_runs_share_no_entry_across_runtime_classes(monkeypatch):
+    class Other(harness.SimRuntime):
+        pass
+
+    ops, setup, _ = DIRECT_CASES["list"]
+    expected = {c: _fresh_direct(LIST, ops, (c,), setup=setup) for c in (4, 6, 9)}
+    builds = _counting_builds(monkeypatch)
+    for runtime, crash in ((harness.SimRuntime, 4), (Other, 6), (Other, 9),
+                           (harness.SimRuntime, 4)):
+        monkeypatch.setattr(harness, "SimRuntime", runtime)
+        out = run_direct(LIST, ops, setup=setup, crash_steps=(crash,))
+        assert type(out.rt) is runtime
+        assert _direct_view(out) == expected[crash]
+    assert len(builds) == 3                # the second Other run resumed
 
 
 def test_crash_event_precedes_recover_begin():

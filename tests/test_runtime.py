@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nvtrack
-from nvtrack.harness import Schedule, StructureAdapter, run_schedule
-from nvtrack.rlist import ListInfo, PersistedRef
+from nvtrack.harness import Schedule, StructureAdapter, run_schedule, structure_ops
+from nvtrack.rlist import ListInfo, PersistedRef, RecoverableList
 from nvtrack.runtime import (
     Abandoned,
     CLEAN,
@@ -199,6 +199,50 @@ def _noop_op():
         return True
 
     return OpDef("noop", call, call)
+
+
+class _CrashStateRuntime(SimRuntime):
+    """Records each list node's key and link word, cached and persisted, right
+    after each crash has reverted the unflushed writes."""
+
+    def crash(self, survival=None):
+        super().crash(survival)
+        self.seen.append([(n.key, n.next.v.marked, n.next.p.marked)
+                          for n in self.obj.persisted_chain()])
+
+
+def _flush_list():
+    rt = _CrashStateRuntime(1, cache="volatile")
+    rt.seen = []
+    return rt, rt.bind(RecoverableList(rt, flush_protocol=True))
+
+
+def test_saved_runs_restore_in_any_order():
+    # A delete's crash between its mark and that mark's flush leaves the node
+    # (allocated between save A and save B) with an unflushed write, which
+    # the crash must revert even though A was restored after B was saved.
+    ops = structure_ops(RecoverableList, "insert", "delete")
+    fresh, _ = _flush_list()
+    fresh.invoke(0, ops["insert"], (5,))
+    base = fresh.steps
+    fresh.invoke(0, ops["delete"], (5,))
+    delete_steps = fresh.steps - base
+    for c in range(delete_steps):
+        rt, obj = _flush_list()
+        a = rt.save()
+        rt.invoke(0, ops["insert"], (5,))
+        b = rt.save()
+        rt.restore(a)
+        rt.invoke(0, ops["insert"], (7,))       # allocates other cells
+        rt.restore(b)
+        rt.run_ops_direct(0, [(ops["delete"], (5,))], [base + c])
+        fresh, fresh_obj = _flush_list()
+        fresh.invoke(0, ops["insert"], (5,))
+        fresh.run_ops_direct(0, [(ops["delete"], (5,))], [base + c])
+        assert rt.seen == fresh.seen and len(rt.seen) == 1, c
+        assert rt.history == fresh.history
+        assert len(rt._cells) == len(fresh._cells)
+        assert obj.snapshot() == fresh_obj.snapshot() == set()
 
 
 def test_invoke_resets_checkpoint_even_if_left_set():

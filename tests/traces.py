@@ -41,13 +41,15 @@ class TracingRuntime(SimRuntime):
         super().flush(pid, cell)
         self.trace.append(("flush", pid, cell, cell.v, cell.v, True, None, self.steps))
 
+    # by value, as SimRuntime saves its history: direct runs restore saved
+    # boundaries in any order
     def save(self):
-        return super().save(), len(self.trace)
+        return super().save(), self.trace[:]
 
     def restore(self, saved):
-        saved, ntrace = saved
+        saved, trace = saved
         super().restore(saved)
-        del self.trace[ntrace:]
+        self.trace = trace[:]
 
 
 # ---------------------------------------------------------------------------
