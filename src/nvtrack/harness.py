@@ -129,7 +129,7 @@ STRUCTURES = {
 # Schedules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Schedule:
     """An interleaving plan plus crash placement.
 
@@ -329,9 +329,11 @@ def run_direct(adapter: StructureAdapter, ops: Sequence, *, setup: Sequence = ()
     most that of its first crash (a crash at operation ``i``'s first step
     fires inside operation ``i``, after its ``Invoke``) and runs the
     operations from there; with no entry for its workload it builds a fresh
-    runtime.  Crash numbering and histories are those of a fresh run.  So
-    the outcome's ``rt`` and ``obj`` are valid only until the next
-    ``run_direct`` call in this thread; its history stays valid.
+    runtime.  A negative crash index never fires, and the later ones fire as
+    if it were not planned.  Crash numbering and histories are those of a
+    fresh run.  So the outcome's ``rt`` and ``obj`` are valid only until the
+    next ``run_direct`` call in this thread; its history stays valid (its
+    events are shared with other runs' histories, and nothing mutates them).
 
     An exception raised inside an operation or recovery propagates."""
     # seed has no effect (only a nonzero survival draws from the rng), but
@@ -345,9 +347,9 @@ def run_direct(adapter: StructureAdapter, ops: Sequence, *, setup: Sequence = ()
         run = _direct.run = _DirectRun(
             key, rt, obj, [(adapter.ops[name], args) for name, args in ops])
     rt, base, saves = run.rt, run.steps[0], run.saves
-    first = base + crashes[0] if crashes else math.inf
     # a crash planned before the workload never fires, as in a fresh run
-    start = max(bisect.bisect_right(run.steps, first) - 1, 0)
+    first = base + next((c for c in crashes if c >= 0), math.inf)
+    start = bisect.bisect_right(run.steps, first) - 1
     rt.restore(saves[start])
 
     def boundary(pid: int, i: int) -> None:

@@ -46,6 +46,15 @@ every hop, and CPython reads a ``__slots__`` field faster than a namedtuple
 field, and builds a slotted object faster too.  Words compare by content, so
 a CAS's expected word may be freshly built, and are never mutated, since
 every cell that holds a word shares the object.
+
+History events (:class:`Invoke`, :class:`Response` and the rest) are slotted
+dataclasses, not frozen ones: a frozen dataclass's ``__init__`` stores each
+field through ``object.__setattr__``, which makes an event about three times
+dearer to build, and every operation a run executes records at least two.
+They keep field-wise equality, hashing and ``repr``.  They are values all the
+same, and no code mutates one: :meth:`SimRuntime.save` and
+:meth:`SimRuntime.restore` copy the history list but not its events, so the
+histories of a crash-free run and of every run branched off it share them.
 """
 
 from __future__ import annotations
@@ -174,7 +183,7 @@ class OpDef:
     is_update: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Invoke:
     t: int
     pid: int
@@ -182,7 +191,7 @@ class Invoke:
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Response:
     t: int
     pid: int
@@ -191,19 +200,19 @@ class Response:
     persisted: Any = UNSET
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CrashEvent:
     t: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RecoverBegin:
     t: int
     pid: int
     op: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RecoverResponse:
     t: int
     pid: int
@@ -212,7 +221,7 @@ class RecoverResponse:
     persisted: Any = UNSET
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Abandoned:
     """Operation gave up after exhausting its step budget (inconclusive)."""
 
@@ -620,12 +629,13 @@ class SimRuntime:
         A crash planned at index ``c`` fires after ``c`` shared-cell accesses
         have executed; the failed operation is then recovered (repeatedly, if
         further crashes land inside recovery) before the workload continues.
+        An index below the current step count has passed and never fires.
         The run starts at operation ``start``; ``wait`` is ``_run_ops``'s.
         Returns False if an operation exhausted its step budget.
         """
         if self._procs:
             raise RuntimeError("direct runs are unavailable after start_workers()")
-        self._crash_plan = sorted(crash_steps)
+        self._crash_plan = sorted(c for c in crash_steps if c >= self.steps)
         return self._run_ops(pid, ops, wait, start)
 
     def record(self, on: bool) -> None:
