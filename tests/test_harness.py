@@ -99,8 +99,10 @@ def test_direct_runs_resume_and_equal_fresh_runs_in_any_order(monkeypatch, name)
     ops, setup, cache = DIRECT_CASES[name]
     kw = dict(setup=setup, cache=cache)
     total = run_direct(dataclasses.replace(adapter), ops, **kw).granted
-    # a crash planned before the workload never fires, in a fresh run too
+    # a crash planned before the workload never fires, in a fresh run too,
+    # and the later crashes of its plan fire all the same
     plans = [(), (-1,)] + [(c,) for c in range(total)] + \
+        [(-1, c) for c in range(total)] + \
         [(c1, c2) for c1 in range(total) for c2 in range(c1 + 1, total)]
     expected = {plan: _fresh_direct(adapter, ops, plan, **kw) for plan in plans}
     random.Random(name).shuffle(plans)
@@ -109,6 +111,47 @@ def test_direct_runs_resume_and_equal_fresh_runs_in_any_order(monkeypatch, name)
         out = run_direct(adapter, ops, crash_steps=plan, **kw)
         assert _direct_view(out) == expected[plan], plan
     assert len(builds) == 1                # every later run resumed a boundary
+
+
+def test_a_crash_planned_before_the_workload_blocks_no_later_crash():
+    ops = [("insert", (5,)), ("delete", (5,))]
+    for setup in ((), (("insert", (7,)),)):
+        late = _fresh_direct(LIST, ops, (-1, 3), setup=setup)
+        assert late == _fresh_direct(LIST, ops, (3,), setup=setup)
+        assert CrashEvent in map(type, late[0])
+
+
+def test_recorded_histories_never_change_afterwards(monkeypatch):
+    # branched runs share events with the runs they branch off, and direct
+    # runs with the crash-free run they resume; each history must read as it
+    # did when it was produced, whichever run came after it
+    seen = []
+
+    def remember(history):
+        seen.append((history, repr(history)))
+
+    enumerate_runs = harness.enumerate_crash_points
+
+    def remembering(*args, **kwargs):
+        for outcome in enumerate_runs(*args, **kwargs):
+            remember(outcome.history)
+            yield outcome
+
+    monkeypatch.setattr(harness, "enumerate_crash_points", remembering)
+    for name, adapter in STRUCTURES.items():
+        workload, setup, initial = default_workload(name, 2, 2, seed=0)
+        detectability_sweep(adapter, workload, setup=setup, model_initial=initial,
+                            max_crashes=2)
+    for name in ("list", "list-flush", "bst"):
+        ops, setup, cache = DIRECT_CASES[name]
+        total = run_direct(STRUCTURES[name], ops, setup=setup, cache=cache).granted
+        for c1 in range(total):
+            for c2 in range(c1, total):
+                remember(run_direct(STRUCTURES[name], ops, setup=setup, cache=cache,
+                                    crash_steps=(c1, c2)).history)
+    assert len(seen) > 1000
+    changed = [before for history, before in seen if repr(history) != before]
+    assert not changed, changed[0]
 
 
 def test_direct_run_after_one_that_raised_equals_a_fresh_run():
