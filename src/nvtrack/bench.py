@@ -80,7 +80,9 @@ class BenchConfig:
             raise ConfigError("the stack has no read operation; use "
                               "--read-pct 0 for stack benchmarks")
         if not KEY_MIN < self.key_lo <= self.key_hi < min(KEY_MAX, INF1):
-            raise ConfigError("key range must fit in the user key domain")
+            raise ConfigError("key range must fit in the user key domain"
+                              if self.key_lo <= self.key_hi
+                              else "key_lo must not exceed key_hi")
         if self.timing not in TIMINGS:
             raise ConfigError(f"timing must be one of {TIMINGS}")
         if self.timing == "steps" and self.threads != 1:

@@ -58,7 +58,6 @@ def _verify_parser(sub) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--budget", type=_int_at_least(1), default=600,
                    help="per-operation step budget")
-    p.add_argument("--verbose", action="store_true")
     return p
 
 
@@ -147,13 +146,10 @@ def cmd_verify(args) -> int:
         )
         status = "PASS" if report.passed else "FAIL"
         print(f"{status} {structure}.detectability: {report.summary()}")
-        if args.verbose or not report.passed:
-            for label, detail in report.violations:
-                print(f"--- violation [{label}] ---")
-                print(detail)
-            for label, detail in report.strict_violations:
-                print(f"--- strict-recoverability violation [{label}] ---")
-                print(detail)
+        for label, detail in report.violations:      # none if it passed
+            print(f"--- violation [{label}] ---\n{detail}")
+        for label, detail in report.strict_violations:
+            print(f"--- strict-recoverability violation [{label}] ---\n{detail}")
         failed += not report.passed
     return 1 if failed else 0
 

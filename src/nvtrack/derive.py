@@ -47,8 +47,9 @@ is built on a runtime that keeps ``NativeRuntime``'s own ``read``,
 ``write`` and ``flush``, so the class and its bases are derived, under a
 lock, in the thread that builds its first instance.
 
-A function whose source cannot be read is an error that names it.  Derived
-code keeps the original file and line numbers.
+A function whose source cannot be read, or whose file was edited after
+its module was imported, is an error that names it.  Derived code keeps
+the original file and line numbers.
 """
 
 from __future__ import annotations
@@ -168,39 +169,53 @@ def _derive(fn):
     return _compile(ast.fix_missing_locations(node), code, (_TWIN,))
 
 
-def _source(fn, what: str) -> ast.FunctionDef:
-    """The definition of function ``fn``, parsed from its file with the
-    file's line numbers, its decorators dropped, to derive ``what`` from.
+_FILES: dict = {}    # file name -> (its lines, the code of each function)
 
-    The lines from the definition's first line up to the first line that
-    is indented no deeper and is not blank or a comment are the definition,
-    unless they do not parse (say, a closing bracket at the ``def``'s
-    indentation): then ``inspect`` finds its end."""
+
+def _file(fn) -> tuple:
+    """The lines of ``fn``'s file, and the code of each function they define."""
+    name = fn.__code__.co_filename
+    linecache.checkcache(name)
+    lines = linecache.getlines(name, fn.__globals__)
+    if name not in _FILES or _FILES[name][0] is not lines:   # read afresh
+        try:
+            codes = [compile("".join(lines), name, "exec", dont_inherit=True)]
+        except (SyntaxError, ValueError):
+            codes = []                   # then nothing in it is derived
+        for code in codes:               # the list grows by the nested codes
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        _FILES[name] = lines, codes
+    return _FILES[name]
+
+
+def _source(fn, what: str) -> ast.FunctionDef:
+    """The definition of function ``fn`` to derive ``what`` from, parsed
+    with its file's line numbers and without decorators, from lines that
+    compile to ``fn``'s code (unchecked if pytest rewrote its asserts).  It
+    ends before the first line indented no deeper that is not blank or a
+    comment, unless that does not parse (say, a closing bracket at the
+    ``def``'s indentation): then ``inspect`` finds its end."""
     code = fn.__code__
     failure = (f"cannot derive {what} from {fn.__qualname__} "
                f"({code.co_filename}, line {code.co_firstlineno})")
-    linecache.checkcache(code.co_filename)
-    lines = linecache.getlines(code.co_filename, fn.__globals__)
+    lines, codes = _file(fn)
+    if code not in codes and "@pytest_ar" not in code.co_names:
+        raise RuntimeError(f"{failure}: its file " + (
+            "no longer defines it as imported" if lines else "cannot be read"))
     start = end = code.co_firstlineno - 1
     while end < len(lines) and lines[end].lstrip().startswith("@"):
         end += 1                         # decorators
-    if end < len(lines):
-        indent = len(lines[end]) - len(lines[end].lstrip())
+    indent = len(lines[end]) - len(lines[end].lstrip())
+    end += 1
+    while end < len(lines):
+        text = lines[end].lstrip()
+        if text and text[0] != "#" and len(lines[end]) - len(text) <= indent:
+            break
         end += 1
-        while end < len(lines):
-            text = lines[end].lstrip()
-            if text and text[0] != "#" and len(lines[end]) - len(text) <= indent:
-                break
-            end += 1
-        try:
-            return _parse(lines[start:end], start, failure, code.co_name)
-        except SyntaxError:
-            pass
     try:
-        lines, first_line = inspect.getsourcelines(code)
-    except OSError as exc:
-        raise RuntimeError(f"{failure}: {exc}") from None
-    return _parse(lines, first_line - 1, failure, code.co_name)
+        return _parse(lines[start:end], start, failure, code.co_name)
+    except SyntaxError:
+        return _parse(inspect.getblock(lines[start:]), start, failure, code.co_name)
 
 
 def _parse(lines: list, start: int, failure: str, name: str) -> ast.FunctionDef:

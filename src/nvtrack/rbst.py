@@ -8,9 +8,10 @@ node(s) it is about to change, and any process can finish a flagged
 operation from its record, so completion is idempotent.
 
 Recovery piggybacks on that helping: records gain a ``result`` field that
-every completer sets *before* unflagging.  After a crash, a process reads its
-record from ``rd``; if the flag is still installed it helps itself, then the
-``result`` field says whether the operation took effect.
+every completer sets *before* unflagging.  After a crash, one recovery
+serves both updates: a process reads its record from ``rd``; if the flag it
+names (``FLAG``, on node ``flagged``) is still installed, it helps itself,
+then ``result`` says whether the update took effect.
 
 The tree always holds two sentinel keys (the two largest values of the key
 domain) which are never removed, so it never shrinks below three nodes.
@@ -52,6 +53,8 @@ class Leaf:
 
 class InsertInfo(InfoRecord):
     __slots__ = ("p", "l", "new_internal", "result")
+    FLAG = IFLAG              # installed on ``flagged``, the parent
+    flagged = property(lambda info: info.p)
 
     def __init__(self, m, p, l, new_internal, result=UNSET):
         self.p = p
@@ -62,6 +65,8 @@ class InsertInfo(InfoRecord):
 
 class DeleteInfo(InfoRecord):
     __slots__ = ("gp", "p", "l", "pupdate", "result")
+    FLAG = DFLAG              # installed on ``flagged``, the grandparent
+    flagged = property(lambda info: info.gp)
 
     def __init__(self, m, gp, p, l, pupdate, result=UNSET):
         self.gp = gp
@@ -273,20 +278,6 @@ class RecoverableBst(BaselineBst):
                     return True
                 self.help(p, prev)
 
-    def insert_recover(self, p, k) -> bool:
-        m = self.m
-        op = m.read(p, m.rd[p])
-        if m.read(p, m.cp[p]) == 0 or op is UNSET:
-            return REINVOKE
-        if m.read(p, op.result) is False:
-            return False
-        word = m.read(p, op.p.update)
-        if word == UpdateWord(IFLAG, op):
-            self.help_insert(p, op)
-        if m.read(p, op.result) is True:
-            return True
-        return REINVOKE
-
     def delete(self, p, k) -> bool:
         m = self.m
         m.write(p, m.rd[p], UNSET)
@@ -311,16 +302,19 @@ class RecoverableBst(BaselineBst):
                 else:
                     self.help(p, prev)
 
-    def delete_recover(self, p, k) -> bool:
+    def insert_recover(self, p, k) -> bool:
+        """Recover an insert, or a delete as ``delete_recover``."""
         m = self.m
         op = m.read(p, m.rd[p])
         if m.read(p, m.cp[p]) == 0 or op is UNSET:
             return REINVOKE
         if m.read(p, op.result) is False:
             return False
-        word = m.read(p, op.gp.update)
-        if word == UpdateWord(DFLAG, op):
-            self.help_delete(p, op)
+        word = m.read(p, op.flagged.update)
+        if word == UpdateWord(op.FLAG, op):
+            self.help(p, word)
         if m.read(p, op.result) is True:
             return True
         return REINVOKE
+
+    delete_recover = insert_recover

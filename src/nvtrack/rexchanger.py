@@ -11,16 +11,17 @@ completion step idempotent and crash-recoverable: recovery re-runs exactly
 the completion the crashed process was in the middle of, then reads its
 own ``result``.
 
-Two variants share the record type and one copy of the protocol:
+Two variants share the record type and one copy of the protocol, recovery
+included (:meth:`TimedExchanger._resume`):
 
 * :class:`TimedExchanger` -- the slot-addressed variant used by the
   elimination stack; a waiter whose deadline passes tries to reset the slot
-  and reports TIMEOUT, unless a collision sneaks in first.  Standalone, it
-  is tracked through CP_p and RD_p by its ``tracked_exchange`` methods.
-* :class:`Exchanger` -- the unbounded-wait variant, the timed one with an
-  infinite deadline (a lone caller spins until the simulated step budget
-  runs out; not lock-free by design).  Its recovery resumes waiting where
-  the timed recovery gives up.
+  and reports TIMEOUT, unless a collision sneaks in first.  Its recovery
+  withdraws a record still waiting.  Standalone, it is tracked through CP_p
+  and RD_p by its ``tracked_exchange`` methods.
+* :class:`Exchanger` -- the timed one with an infinite deadline (a lone
+  caller spins until the simulated step budget runs out; not lock-free by
+  design); its recovery waits on instead.
 """
 
 from __future__ import annotations
@@ -128,16 +129,23 @@ class TimedExchanger(Structure):
         """Finish or abandon a crashed exchange; UNSET means no collision."""
         m = self.m
         state = m.read(p, myop.state)
+        # a process's own record is never EMPTY: either state reads the slot
+        return self._resume(p, myop, state, m.read(p, self.slot), None)
+
+    def _resume(self, p, myop: ExchangeInfo, state, yourop, deadline) -> Any:
+        """Finish ``myop``'s collision, given its state and the slot as read;
+        if it is still waiting in the slot, withdraw it (no ``deadline``) or
+        wait on until ``deadline``.  Returns its result, UNSET if none."""
         if state == EX_WAITING:
-            yourop = m.read(p, self.slot)
-            if yourop is myop:
+            if yourop is not myop:
+                self._finish_as_partner(p, myop, yourop)
+            elif deadline is None:
                 self._withdraw(p, myop)   # as if the deadline just passed
             else:
-                self._finish_as_partner(p, myop, yourop)
-        if state == EX_BUSY:
-            if m.read(p, self.slot) is myop:
-                self._complete(p, myop)
-        return m.read(p, myop.result)
+                return self._await_collision(p, myop, deadline)
+        elif state == EX_BUSY and yourop is myop:
+            self._complete(p, myop)
+        return self.m.read(p, myop.result)
 
     # -- a standalone exchange, tracked through cp and rd --------------------
 
@@ -175,16 +183,5 @@ class Exchanger(TimedExchanger):
         yourop = m.read(p, self.slot)
         if m.read(p, m.cp[p]) == 0:
             return REINVOKE
-        state = m.read(p, myop.state)
-        if state == EX_WAITING:
-            if yourop is myop:
-                # still installed and uncollided: resume waiting
-                return self._await_collision(p, myop, math.inf)
-            self._finish_as_partner(p, myop, yourop)
-        if state == EX_BUSY:
-            if yourop is myop:
-                self._complete(p, myop)
-        res = m.read(p, myop.result)
-        if res is not UNSET:
-            return res
-        return REINVOKE
+        res = self._resume(p, myop, m.read(p, myop.state), yourop, math.inf)
+        return REINVOKE if res is UNSET else res

@@ -300,9 +300,7 @@ class NativeRuntime:
     def now(self) -> int:
         return time.monotonic_ns()
 
-    @property
-    def default_exchange_wait(self) -> int:
-        return 30_000  # nanoseconds
+    default_exchange_wait = 30_000          # nanoseconds
 
 
 class Structure:
@@ -366,7 +364,6 @@ class SimRuntime:
         if cache not in ("durable", "volatile"):
             raise ValueError(f"unknown cache mode: {cache}")
         self.nprocs = nprocs
-        self.cache = cache
         self.survival = survival               # P(an unflushed write survives)
         self.step_budget = step_budget
         self.steps = 0
@@ -397,9 +394,7 @@ class SimRuntime:
     def now(self) -> int:
         return self.steps
 
-    @property
-    def default_exchange_wait(self) -> int:
-        return 48  # logical steps
+    default_exchange_wait = 48              # logical steps
 
     # -- cells --------------------------------------------------------------
 

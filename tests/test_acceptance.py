@@ -7,6 +7,8 @@ run at desk scale: the workload mix matches the reference protocol (keys
 are reduced to keep the suite minutes-long; only ratios are gated.
 """
 
+import contextlib
+import os
 import random
 import statistics
 import time
@@ -382,11 +384,29 @@ def _bench_medians(read_pct) -> list:
     return [statistics.median(mops[v]) for v in LIST_VARIANTS]
 
 
+@contextlib.contextmanager
+def _one_cpu():
+    """Keep this process, and the threads it starts, on one CPU (as
+    nvbench/run.py does): under the GIL one thread runs at a time, and
+    same-core thread switches swing less with other load than cross-core
+    wake-ups.  Where affinity cannot be set, nothing is pinned."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
 def test_criterion_7_benchmark_ratios():
     details = []
     ok = True
     for read_pct, mix in ((30, "update-intensive"), (70, "read-intensive")):
-        base, rec, flush = _bench_medians(read_pct)
+        with _one_cpu():
+            base, rec, flush = _bench_medians(read_pct)
         ratio = rec / base
         flush_ratio = flush / rec
         details.append(

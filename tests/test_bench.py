@@ -51,6 +51,11 @@ def test_validation_rejects_out_of_domain_keys():
         small(key_lo=0, key_hi=2 ** 63 - 1).validate()
 
 
+def test_validation_names_an_empty_key_range():
+    with pytest.raises(ConfigError, match="^key_lo must not exceed key_hi$"):
+        small(key_lo=3, key_hi=2).validate()
+
+
 def test_op_streams_are_a_pure_function_of_seed():
     a = op_stream(small(), 0, 0, 300)
     b = op_stream(small(), 0, 0, 300)

@@ -1,15 +1,18 @@
 """CLI surface: bench and verify subcommands."""
 
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import nvtrack
-from nvtrack import bench, checker, cli, harness
+from nvtrack import bench, checker, cli, harness, rlist
 from nvtrack.bench import BUILDERS, BenchConfig, BenchResult
+from nvtrack.checker import SetModel
 from nvtrack.cli import main
+from nvtrack.runtime import REINVOKE
 
 
 def test_bench_defaults_mirror_reference_protocol():
@@ -83,6 +86,13 @@ def test_bench_subcommand_rejects_a_negative_prefill(capsys):
     rc = main(["bench", "--prefill", "-3"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: prefill ")
+
+
+def test_bench_rejects_an_empty_key_range_as_such(bench_configs, capsys):
+    rc = main(["bench", "--key-lo", "3", "--key-hi", "2"])
+    assert rc == 2
+    assert bench_configs == []
+    assert capsys.readouterr().err == "error: key_lo must not exceed key_hi\n"
 
 
 def test_bench_rejects_an_unwritable_output_before_running(bench_configs,
@@ -166,6 +176,33 @@ def test_verify_fails_if_any_sweep_fails_and_prints_every_line(capsys):
     assert rc == 1
     assert lines[0].startswith("FAIL bst.detectability: 5 runs ")
     assert lines[-1].startswith("PASS list.detectability: ")
+
+
+class _LossyList(rlist.RecoverableList):
+    """Seeded bug: recovery loses an interrupted insert's persisted result
+    and runs the insert again, which then finds its own key."""
+
+    def insert_recover(self, p, key):
+        return REINVOKE
+
+
+def test_verify_prints_each_violation_of_a_failing_sweep(capsys, monkeypatch):
+    monkeypatch.setitem(harness.STRUCTURES, "list", harness.StructureAdapter(
+        _LossyList, harness.structure_ops(_LossyList, "insert", "delete", "find"),
+        SetModel))
+    rc = main(["verify", "--structure", "list", "--pids", "2",
+               "--ops-per-pid", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    found = re.match(r"FAIL list\.detectability: .* (\d+) linearizability "
+                     r"violations, 0 strict-recoverability violations$", lines[0])
+    assert found and int(found.group(1)) > 0
+    headers = [i for i, line in enumerate(lines)
+               if re.fullmatch(r"--- violation \[\S+\] ---", line)]
+    assert len(headers) == int(found.group(1))
+    for i in headers:
+        assert lines[i + 1] == "no linearization order exists for:"
+        assert "insert(7,) -> False" in "".join(lines[i + 2:i + 4])
 
 
 def test_verify_checks_every_set_up_before_the_first_sweep(capsys):

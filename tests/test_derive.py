@@ -3,7 +3,9 @@
 attribute reads and stores, and that every structure's native variant
 behaves as the same structure on a runtime that observes its reads."""
 
+import importlib.util
 import random
+import sys
 import types
 
 import pytest
@@ -262,6 +264,50 @@ def test_each_method_is_derived_once():
     assert "_collide" not in vars(derive.inlined(Exchanger))
     assert (derive.inlined(Exchanger)._collide
             is derive.inlined(TimedExchanger)._collide)
+
+
+_PROBE = """from nvtrack.runtime import Structure
+
+
+def copy(m, p, cell, source):
+    m.write(p, cell, m.read(p, {0}))
+
+
+class Probe(Structure):
+    def get(self, p, cell, other):
+        return self.m.read(p, {1})
+"""
+
+
+def _import_probe(path):
+    spec = importlib.util.spec_from_file_location("derive_probe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_definition_edited_after_its_import_is_refused(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = tmp_path / "derive_probe.py"
+    path.write_text(_PROBE.format("source", "cell"))
+    module = _import_probe(path)
+    path.write_text(_PROBE.format("cell", "other"))   # no definition moves
+    for fn, derive_it, what, line in (
+            (module.copy, derive.twin, "a simulated process", 4),
+            (module.Probe.get, lambda fn: derive.inlined(module.Probe),
+             "a native variant", 9)):
+        with pytest.raises(RuntimeError, match=(
+                rf"^cannot derive {what} from {fn.__qualname__} "
+                rf"\(.*derive_probe\.py, line {line}\): its file no longer "
+                "defines it as imported")):
+            derive_it(fn)
+    module = _import_probe(path)              # imported again: derived again
+    m = Memory()
+    _run(derive.twin(module.copy)(m, 0, "c", "s"), m)
+    assert m.log == [("read", "c"), ("write", "c", "c")]
+    probe = module.Probe(NativeRuntime(1))
+    assert type(probe) is derive.inlined(module.Probe)
+    assert probe.get(0, Cell(1, True), Cell(2, True)) == 2
 
 
 def test_native_code_reads_its_module_globals_when_it_runs(monkeypatch):

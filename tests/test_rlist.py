@@ -83,7 +83,7 @@ def test_search_unlinks_pre_marked_node():
     assert (pred.key, curr.key) == (3, 7)
     assert 4 not in lst.snapshot()
     chain_keys = [n.key for n in lst.persisted_chain()]
-    assert 4 not in chain_keys or rt.cache == "volatile"
+    assert 4 not in chain_keys          # fresh() is durable: the unlink persisted
 
 
 def test_deleter_recorded_for_winner():

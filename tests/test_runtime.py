@@ -109,6 +109,11 @@ def test_volatile_unflushed_write_lost_on_crash():
     assert rt.read(0, c) == 0
 
 
+def test_an_unknown_cache_mode_is_rejected():
+    with pytest.raises(ValueError, match="unknown cache mode: persistent"):
+        SimRuntime(1, cache="persistent")
+
+
 def test_volatile_flushed_write_survives_crash():
     rt = SimRuntime(1, cache="volatile")
     c = rt.new_cell(0)
