@@ -253,14 +253,17 @@ _ok_memo: dict = {}      # (model type, initial, op shape) -> inconclusive
 _MEMO_MODELS = (SetModel, StackModel, ExchangeModel)
 
 
-def check_nrl(history: Sequence, model) -> Verdict:
+def check_nrl(history: Sequence, model, *, _shape: Optional[tuple] = None) -> Verdict:
     """Crash-extended linearizability verdict for a complete history.
 
     OK verdicts of the built-in models are memoized by op shape (see the
-    module docstring); every call returns a fresh ``Verdict``."""
+    module docstring); every call returns a fresh ``Verdict``.  ``_shape``
+    is private: ``op_shape(history)``, passed by a caller that computed it
+    already (the harness's sweeps), so it is not computed twice."""
     key = None
     if type(model) in _MEMO_MODELS:
-        key = (type(model), model.initial, op_shape(history))
+        key = (type(model), model.initial,
+               op_shape(history) if _shape is None else _shape)
         try:
             inconclusive = _ok_memo.get(key)
         except TypeError:                  # an unhashable value: no memo

@@ -509,7 +509,7 @@ def detectability_sweep(adapter: StructureAdapter, workload: dict, *,
                 unhashable.append(shape)
         model = adapter.model(model_initial) if model_initial is not None \
             else adapter.model()
-        verdict = check_nrl(outcome.history, model)
+        verdict = check_nrl(outcome.history, model, _shape=shape)
         if verdict.status == "VIOLATION":
             report.violations.append((outcome.label, verdict.detail))
         elif verdict.inconclusive:

@@ -22,8 +22,10 @@ carries a third bit, set by storing it as a :class:`PersistedRef` (a
 the same value), meaning its ``(ref, marked)`` value was flushed before the
 bit was set.  A traversal that reads a word without the bit flushes the
 word's cell and then sets the bit with a CAS; every CAS that changes a link
-stores a plain ``MarkedRef``, which clears it.  So a traversal reads one
-cell per hop and flushes only the links nobody has persisted yet.  Losing the bit (a failed flag CAS) costs
+stores a plain ``MarkedRef``, which clears it.  Both flush walks, ``find``
+and ``search``, are the baseline's walks plus one flag test per hop: they
+read the same cells and compare each key as often, and flush only the
+links nobody has persisted yet.  Losing the bit (a failed flag CAS) costs
 one redundant flush later, never durability.  Every checkpoint/result/
 deleter write is flushed immediately.
 """
@@ -178,14 +180,17 @@ class RecoverableList(BaselineList):
             return super().find(p, key)
         m = self.m
         curr = self.head
-        while curr.key <= key:     # the baseline's reads, no more
+        while curr.key < key:      # the baseline's walk, plus the flag test
             word = m.read(p, curr.next)
             if type(word) is not PersistedRef:
                 self._flag(p, curr.next, word)
-            if curr.key == key:
-                return not word.marked
             curr = word.ref
-        return False
+        if curr.key != key:
+            return False
+        word = m.read(p, curr.next)
+        if type(word) is not PersistedRef:
+            self._flag(p, curr.next, word)
+        return not word.marked
 
     def search(self, p, key):
         """The baseline's search, or under the flush protocol the same walk

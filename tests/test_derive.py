@@ -407,13 +407,16 @@ def test_native_exchangers_pair_like_observed_ones(run_threads, monkeypatch, mak
     assert rt.reads > 0
 
 
-def test_observed_read_is_called_on_every_hop():
+@pytest.mark.parametrize("name", ["list-base", "list-rec", "list-flush"])
+def test_observed_read_is_called_on_every_hop(name):
     rt = ObservedReads(1)
-    lst = BaselineList(rt)
+    lst = VARIANTS[name][0](rt)
     keys = random.Random(5).sample(range(1, 200), 50)
     for k in keys:
         lst.insert(0, k)
-    for key in (0, keys[0], 250):
+    lst.find(0, 250)           # flags every link the flush list left unflagged
+    absent = next(k for k in range(100, 200) if k not in keys)
+    for key in (0, keys[0], absent, 250):
         before = rt.reads
         lst.find(0, key)
         # a read per node below key, head included, then the found key's mark

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from nvtrack import harness
+from nvtrack import checker, harness
 from nvtrack.checker import op_shape
 from nvtrack.cli import default_workload
 from nvtrack.harness import (
@@ -515,6 +515,23 @@ def test_sweep_counts_distinct_op_level_histories():
               for out in enumerate_crash_points(adapter, workload, **common)}
     assert 1 < rep.distinct == len(shapes) < rep.total
     assert f"({rep.distinct} distinct op-level histories)" in rep.summary()
+
+
+def test_sweep_computes_op_shape_once_per_history(monkeypatch):
+    shaped = []
+
+    def counting(history):
+        shaped.append(history)
+        return op_shape(history)
+
+    monkeypatch.setattr(harness, "op_shape", counting)
+    monkeypatch.setattr(checker, "op_shape", counting)
+    workload, setup, initial = default_workload("list", 2, 2, 1)
+    rep = detectability_sweep(LIST, workload, setup=setup, model_initial=initial,
+                              max_crashes=2, seed=1, samples=8, step_budget=300)
+    assert rep.passed and rep.total > 10
+    # the sweep's count and the checker's memo key share one computation
+    assert len(shaped) == len({id(h) for h in shaped}) == rep.total
 
 
 def _listed_insert(obj, pid, key):

@@ -1,10 +1,12 @@
 """Recoverable linked-list set: sequential behavior, recovery, invariants."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nvtrack import harness
 from nvtrack.harness import (
     STRUCTURES,
     Schedule,
@@ -14,9 +16,24 @@ from nvtrack.harness import (
     run_schedule,
 )
 from nvtrack.checker import SetModel, check_nrl
-from nvtrack.rlist import KEY_MAX, KEY_MIN, PersistedRef, RecoverableList
-from nvtrack.runtime import MarkedRef, NativeRuntime, SimRuntime, UNSET
-from traces import link_once_per_node, unlink_once, write_once
+from nvtrack.rlist import (
+    KEY_MAX,
+    KEY_MIN,
+    ListInfo,
+    ListNode,
+    PersistedRef,
+    RecoverableList,
+)
+from nvtrack.runtime import (
+    UNSET,
+    CrashEvent,
+    Invoke,
+    MarkedRef,
+    NativeRuntime,
+    Response,
+    SimRuntime,
+)
+from traces import TracingRuntime, link_once_per_node, unlink_once, write_once
 
 LIST = STRUCTURES["list"]
 FLUSH_LIST = STRUCTURES["list-flush"]
@@ -335,3 +352,100 @@ def test_flush_variant_persists_mark_before_unlink():
         setup=(("insert", (5,)),), model_initial={5}, patterns=("rand0",),
         seed=305, step_budget=600, cache="volatile")
     assert report.passed, report.violations[:1]
+
+
+# -- pinned lookup traces of the flush list ---------------------------------
+
+PINNED_LOOKUP_SHA256 = "09f3027b42918720d2508c8e8706fef0519dd0ec6a1c4e3abe50571c59f0f8ef"
+LOOKUP_SEEDS = range(10)
+
+
+class ReadTracing(TracingRuntime):
+    """A ``TracingRuntime`` that traces reads too, as ``("read", pid, cell,
+    value, value, True, None, step)``."""
+
+    def read(self, pid, cell):
+        value = super().read(pid, cell)
+        self.trace.append(("read", pid, cell, value, value, True, None, self.steps))
+        return value
+
+
+def _lookup_runs(monkeypatch):
+    """Per seed, a crashed 3-process run of a seeded find/insert/delete
+    stream on the flush list under a volatile cache.  Updates take keys 1-4
+    and lookups 0-5, so a lookup may pass below every key, land on a present
+    or absent key, or run past every key to the tail."""
+    monkeypatch.setattr(harness, "SimRuntime", ReadTracing)
+    setup = (("insert", (2,)), ("insert", (4,)))
+    for seed in LOOKUP_SEEDS:
+        rng = random.Random(f"lookup-pin:{seed}")
+        workload = {pid: [("find", (rng.randrange(0, 6),)) if rng.random() < 0.5
+                          else (rng.choice(("insert", "delete")), (rng.randrange(1, 5),))
+                          for _ in range(16)]
+                    for pid in range(3)}
+        quanta = pattern_quanta("rand0", 3, 4000, seed)
+        probe = run_schedule(FLUSH_LIST, workload, Schedule(quanta), setup=setup,
+                             cache="volatile")
+        crashes = tuple(sorted(rng.sample(range(probe.granted), 10)))
+        yield run_schedule(FLUSH_LIST, workload, Schedule(quanta, crashes),
+                           setup=setup, cache="volatile")
+
+
+def _word(value):
+    """An accessed value with no identity in it: a link word as (successor's
+    key, marked, flagged)."""
+    if isinstance(value, MarkedRef):
+        return (getattr(value.ref, "key", None), value.marked,
+                type(value) is PersistedRef)
+    if isinstance(value, ListNode):
+        return "node", value.key
+    return "info" if isinstance(value, ListInfo) else repr(value)
+
+
+def _lookup_accesses(out):
+    """Per ``find`` that a crash did not cut short: its key, response and
+    the accesses it made, in order."""
+    trace, running, done, i = out.rt.trace, {}, [], 0
+    for event in out.history:
+        while i < len(trace) and trace[i][7] <= event.t:   # before the event
+            if trace[i][1] in running:
+                running[trace[i][1]][1].append(trace[i])
+            i += 1
+        if isinstance(event, CrashEvent):
+            running.clear()
+        elif isinstance(event, Invoke) and event.op == "find":
+            running[event.pid] = event.args[0], []
+        elif isinstance(event, Response) and event.pid in running:
+            key, accesses = running.pop(event.pid)
+            done.append((key, event.value, accesses))
+    return done
+
+
+def test_pinned_list_flush_lookup_traces_are_unchanged(monkeypatch):
+    """Every access of the runs, reads included, hashes to a constant: its
+    kind, pid, cell (numbered by first access), the values it saw and
+    stored with their keys, marks and flags, its note and step.  The runs
+    must hold lookups below, above, on and between keys, one that lands on
+    a marked node and one that flags a link.  A change meant to alter an
+    access must recompute ``PINNED_LOOKUP_SHA256`` and say why."""
+    h = hashlib.sha256()
+    cells = {}
+    seen = {"below": 0, "above": 0, "present": 0, "absent": 0, "marked": 0,
+            "flagged": 0}
+    for out in _lookup_runs(monkeypatch):
+        assert not out.inconclusive
+        for kind, pid, cell, old, new, ok, note, step in out.rt.trace:
+            index = cells.setdefault(id(cell), len(cells))
+            h.update(repr((kind, pid, index, _word(old), _word(new), ok, note,
+                           step)).encode())
+        cells.clear()
+        for key, found, accesses in _lookup_accesses(out):
+            reads = [a[4] for a in accesses if a[0] == "read"]
+            seen["below"] += key == 0
+            seen["above"] += key == 5
+            seen["present" if found else "absent"] += 1
+            seen["marked"] += (len(reads) > 1 and reads[-2].ref.key == key
+                               and reads[-1].marked)
+            seen["flagged"] += any(a[6] == "flag" for a in accesses)
+    assert all(seen.values()), seen
+    assert h.hexdigest() == PINNED_LOOKUP_SHA256
