@@ -21,18 +21,20 @@ leave out, so a model need not yield the unchanged state for it; and
 Sweeps produce the same operation-level history many times over: crash runs
 that differ only in where the crash fell often fold into the same operation
 records.  ``check_nrl`` therefore keeps a bounded memo of OK verdicts, keyed
-on the model's type and initial state and the history's *op shape*
-(:func:`op_shape`): its invocations ``(pid, op, args)``, responses
-``(pid, type(value), value)`` and abandonments ``(pid,)`` in order, without
-crashes, recovery starts or times.  The memo is exact: ``extract_ops`` reads
-nothing else from a history but event positions, and the search reads those
-only through the order of responses and invocations (``b.res < a.inv``),
-which the shape keeps; the type tag keeps ``True`` and ``1`` apart, which
-``StackModel`` tells apart with ``is``.  Only the built-in models, whose
-behaviour is fixed by their type and ``initial``, are memoized, and only
-their OK verdicts: a VIOLATION or UNCHECKED verdict is always computed from
-the full history, so its witness names real event indices.  A history with
-an unhashable value is checked without the memo.
+on the model's type and its initial state with the types of its payloads,
+and on the history's *op shape* (:func:`op_shape`): its invocations
+``(pid, op, args)`` with the types of the arguments, responses ``(pid,
+type(value), value)`` and abandonments ``(pid,)`` in order, without
+crashes, recovery starts or times.  The memo is exact: ``extract_ops``
+reads nothing else from a history but event positions, and the search
+reads those only through the order of responses and invocations (``b.res <
+a.inv``), which the shape keeps; the type tags keep ``True`` and ``1``
+apart, as ``StackModel``'s pop and ``ExchangeModel`` do when they compare
+payloads.  Only the built-in models, whose behaviour is fixed by their type
+and ``initial``, are memoized, and only their OK verdicts: a VIOLATION or
+UNCHECKED verdict is always computed from the full history, so its witness
+names real event indices.  A history with an unhashable value is checked
+without the memo.
 
 ``check_strict_recoverability`` inspects the persisted-result snapshot the
 runtime records with every response: a completed update must have its
@@ -62,6 +64,11 @@ WILDCARD = _Sentinel("WILDCARD")
 # ---------------------------------------------------------------------------
 # Sequential models
 # ---------------------------------------------------------------------------
+
+def _same(a, b) -> bool:
+    """Equal payloads of the same type: ``1`` is not ``True``."""
+    return type(a) is type(b) and a == b
+
 
 class SetModel:
     """insert/delete/contains over a set of keys."""
@@ -97,7 +104,7 @@ class StackModel:
         if op == "pop":
             if not state:
                 return [state] if resp is EMPTY else []
-            return [state[:-1]] if resp is WILDCARD or resp == state[-1] else []
+            return [state[:-1]] if resp is WILDCARD or _same(resp, state[-1]) else []
         raise ValueError(f"unknown stack op {op}")
 
     def final_ok(self, state) -> bool:
@@ -123,7 +130,8 @@ class ExchangeModel:
         if state is None:
             return [(v, resp)]
         v0, r0 = state
-        if (r0 is WILDCARD or r0 == v) and (resp is WILDCARD or resp == v0):
+        if (r0 is WILDCARD or _same(r0, v)) and \
+                (resp is WILDCARD or _same(resp, v0)):
             return [None]
         return []
 
@@ -179,17 +187,21 @@ def extract_ops(history: Sequence) -> list[OpRecord]:
 
 def op_shape(history: Sequence) -> tuple:
     """The history's operation-level shape: one entry per invocation
-    ``(pid, op, args)``, response ``(pid, type(value), value)`` and
-    abandonment ``(pid,)``, in order, classified as :func:`extract_ops`
-    classifies them.  Histories with equal shapes fold into the same
-    operation records, up to event indices and the ``recovered`` tag."""
+    ``(pid, op, args)``, followed by the type of each argument, response
+    ``(pid, type(value), value)`` and abandonment ``(pid,)``, in order,
+    classified as :func:`extract_ops` classifies them (no event class has
+    subclasses, so the exact class decides).  Histories with equal shapes
+    fold into the same operation records, up to event indices and the
+    ``recovered`` tag."""
     shape = []
     for ev in history:
-        if isinstance(ev, Invoke):
+        kind = type(ev)
+        if kind is Invoke:
             shape.append((ev.pid, ev.op, ev.args))
-        elif isinstance(ev, (Response, RecoverResponse)):
+            shape += map(type, ev.args)
+        elif kind is Response or kind is RecoverResponse:
             shape.append((ev.pid, type(ev.value), ev.value))
-        elif isinstance(ev, Abandoned):
+        elif kind is Abandoned:
             shape.append((ev.pid,))
     return tuple(shape)
 
@@ -262,7 +274,7 @@ def check_nrl(history: Sequence, model, *, _shape: Optional[tuple] = None) -> Ve
     already (the harness's sweeps), so it is not computed twice."""
     key = None
     if type(model) in _MEMO_MODELS:
-        key = (type(model), model.initial,
+        key = (type(model), model.initial, tuple(map(type, model.initial or ())),
                op_shape(history) if _shape is None else _shape)
         try:
             inconclusive = _ok_memo.get(key)

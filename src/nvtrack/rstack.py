@@ -11,10 +11,16 @@ persisted ``result``.  Nodes carry two arbitration fields:
 * ``popper`` -- write-once process id attributing a removal to exactly one
   contender.
 
-A push/pop that loses its central CAS visits the elimination layer; a
+Each operation makes its central attempts inline, in its own loop.  A
+push/pop that loses its central CAS visits the elimination layer; a
 push/pop pair that collides there completes without touching the stack.  The
 record in ``rd`` is retyped per attempt (central record vs exchange record),
-which is how recovery knows which sub-protocol to resume.
+which is how recovery knows which sub-protocol to resume.  Both recoveries
+end in one response rule: answer the ``result`` of the record in ``rd`` if
+it is a central record that has one, else ``REINVOKE``.  A completed
+collision leaves a central record with the response in ``rd``; an exchange
+record's ``result`` is the partner's value, never a response, so a push
+paired with a push, or a pop with a pop, runs again.
 
 Fields fixed at a record's creation are plain attributes, not cells: a
 :class:`CentralInfo` holds the node its operation works on, and a node's
@@ -46,8 +52,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .rexchanger import EX_BUSY, EX_EMPTY, EX_WAITING, ExchangeInfo, TimedExchanger
-from .runtime import (EMPTY, REINVOKE, InfoRecord, NULL, RETRY, Structure, TIMEOUT,
-                      UNSET)
+from .runtime import EMPTY, REINVOKE, InfoRecord, NULL, Structure, TIMEOUT, UNSET
 
 
 class StackNode:
@@ -87,31 +92,6 @@ class EliminationStack(Structure):
 
     # -- central stack -------------------------------------------------------
 
-    def try_push(self, p, data: CentralInfo, oldtop) -> bool:
-        """One central CAS of ``data.nd``, whose ``next`` is ``oldtop``."""
-        m = self.m
-        nd = data.nd
-        if m.cas(p, self.top, oldtop, nd, note="push"):
-            m.write(p, nd.pushed, True)
-            m.write(p, data.result, True)
-            return True
-        return False
-
-    def try_pop(self, p, data: CentralInfo, oldtop) -> Any:
-        """Pop ``oldtop``, which is ``data.nd``, once: value, EMPTY, or
-        RETRY when a CAS was lost."""
-        m = self.m
-        if oldtop is None:
-            m.write(p, data.result, EMPTY)
-            return EMPTY
-        newtop = m.read(p, oldtop.next)
-        m.write(p, oldtop.pushed, True)
-        if m.cas(p, self.top, oldtop, newtop, note="pop"):
-            if m.cas(p, oldtop.popper, m.nprocs, p, note="popper"):
-                m.write(p, data.result, oldtop.value)
-                return oldtop.value
-        return RETRY
-
     def stack_search(self, p, nd) -> bool:
         m = self.m
         it = m.read(p, self.top)
@@ -133,13 +113,12 @@ class EliminationStack(Structure):
     def push(self, p, value) -> bool:
         m = self.m
         oldtop = m.read(p, self.top)
-        data = CentralInfo(m, StackNode(m, value, oldtop))
+        nd = StackNode(m, value, oldtop)
+        data = CentralInfo(m, nd)
         m.write(p, m.rd[p], data)
         m.write(p, m.cp[p], 1)
         cells = 1
-        while True:
-            if self.try_push(p, data, oldtop):
-                return True
+        while not m.cas(p, self.top, oldtop, nd, note="push"):
             other = self.visit(p, value, cells, self.exchange_wait)
             if other is NULL:          # collided with a pop
                 m.write(p, m.rd[p], CentralInfo(m, None, True))
@@ -148,8 +127,11 @@ class EliminationStack(Structure):
                 cells = min(self.slots, cells + 1)
             # a timeout or a push/push collision retries centrally
             oldtop = m.read(p, self.top)
-            m.write(p, data.nd.next, oldtop)
+            m.write(p, nd.next, oldtop)
             m.write(p, m.rd[p], data)
+        m.write(p, nd.pushed, True)
+        m.write(p, data.result, True)
+        return True
 
     def push_recover(self, p, value) -> bool:
         m = self.m
@@ -165,10 +147,7 @@ class EliminationStack(Structure):
                 if self.stack_search(p, nd) or m.read(p, nd.pushed):
                     m.write(p, nd.pushed, True)
                     m.write(p, data.result, True)
-        data = m.read(p, m.rd[p])
-        if m.read(p, data.result) is True:
-            return True
-        return REINVOKE
+        return self._response(p)
 
     def pop(self, p) -> Any:
         m = self.m
@@ -178,9 +157,15 @@ class EliminationStack(Structure):
         m.write(p, m.cp[p], 1)
         cells = 1
         while True:
-            response = self.try_pop(p, data, oldtop)
-            if response is not RETRY:
-                return response
+            if oldtop is None:
+                m.write(p, data.result, EMPTY)
+                return EMPTY
+            newtop = m.read(p, oldtop.next)
+            m.write(p, oldtop.pushed, True)
+            if m.cas(p, self.top, oldtop, newtop, note="pop") and \
+                    m.cas(p, oldtop.popper, m.nprocs, p, note="popper"):
+                m.write(p, data.result, oldtop.value)
+                return oldtop.value
             other = self.visit(p, NULL, cells, self.exchange_wait)
             if other is TIMEOUT:
                 cells = min(self.slots, cells + 1)
@@ -210,12 +195,16 @@ class EliminationStack(Structure):
                     m.cas(p, nd.popper, m.nprocs, p, note="popper")
                     if m.read(p, nd.popper) == p:
                         m.write(p, data.result, nd.value)
+        return self._response(p)
+
+    def _response(self, p) -> Any:
+        """Both recoveries' response rule (see the module docstring)."""
+        m = self.m
         data = m.read(p, m.rd[p])
         res = m.read(p, data.result)
-        # NULL means the exchange paired two pops: no effect, run again.
-        if res is not UNSET and res is not NULL:
-            return res
-        return REINVOKE
+        if res is UNSET or not isinstance(data, CentralInfo):
+            return REINVOKE
+        return res
 
     # -- introspection (tests and harness only) ------------------------------
 

@@ -92,8 +92,6 @@ NULL = _Sentinel("NULL")
 EMPTY = _Sentinel("EMPTY")
 #: Response of a timed exchange that found no partner.
 TIMEOUT = _Sentinel("TIMEOUT")
-#: Internal retry marker for single central-stack attempts.
-RETRY = _Sentinel("RETRY")
 
 
 class MarkedRef:

@@ -309,6 +309,27 @@ def test_memo_tells_a_true_response_from_a_one():
     assert check_nrl(pushed(True), StackModel()).ok
 
 
+def test_models_tell_a_true_payload_from_a_one():
+    # a popped or exchanged payload must match in type as well as value
+    def popped(value, resp):
+        return H(Invoke(0, 0, "push", (value,)), Response(1, 0, "push", True),
+                 Invoke(2, 0, "pop", ()), Response(3, 0, "pop", resp))
+
+    def exchanged(resp):
+        return H(Invoke(0, 0, "exchange", (1,)), Invoke(0, 1, "exchange", (20,)),
+                 Response(1, 0, "exchange", 20), Response(1, 1, "exchange", resp))
+
+    assert check_nrl(popped(True, True), StackModel()).ok
+    assert check_nrl(popped(True, 1), StackModel()).status == "VIOLATION"
+    assert check_nrl(popped(1, True), StackModel()).status == "VIOLATION"
+    assert check_nrl(exchanged(1), ExchangeModel()).ok
+    assert check_nrl(exchanged(True), ExchangeModel()).status == "VIOLATION"
+    # the OK verdicts above are memoized: the memo keys tell the types too
+    popped_one = H(Invoke(0, 0, "pop", ()), Response(1, 0, "pop", 1))
+    assert check_nrl(popped_one, StackModel((1,))).ok
+    assert check_nrl(popped_one, StackModel((True,))).status == "VIOLATION"
+
+
 def test_violations_are_checked_afresh_from_each_history():
     lost = H(
         Invoke(0, 0, "insert", (5,)), Response(1, 0, "insert", True),

@@ -17,7 +17,7 @@ from nvtrack.harness import (
     structure_ops,
 )
 from nvtrack.checker import StackModel, check_nrl, check_strict_recoverability
-from nvtrack.rstack import BaselineStack, CentralInfo, EliminationStack, StackNode
+from nvtrack.rstack import BaselineStack, CentralInfo, EliminationStack
 from nvtrack.rexchanger import ExchangeInfo
 from nvtrack.runtime import (
     CrashEvent, EMPTY, NULL, NativeRuntime, OpDef, REINVOKE, SimRuntime, TIMEOUT, UNSET)
@@ -64,34 +64,36 @@ def test_stack_search_finds_only_linked_nodes():
     assert stk.stack_search(0, top) is False
 
 
-def test_try_push_contended_loss_leaves_no_trace_of_loser():
-    # a single central-stack attempt per op, interleaved with a full push
-    def one_try_push(obj, pid, value):
-        m = obj.m
-        oldtop = m.read(pid, obj.top)
-        data = CentralInfo(m, StackNode(m, value, oldtop))
-        m.write(pid, m.rd[pid], data)
-        m.write(pid, m.cp[pid], 1)
-        return obj.try_push(pid, data, oldtop)
+class _LossRuntime(SimRuntime):
+    """Notes the pid and the bound stack's contents right after each failed
+    CAS on its ``top``."""
 
-    ops = {
-        "try_push": OpDef("try_push", one_try_push, one_try_push),
-        "push": STACK.ops["push"],
-    }
-    adapter = StructureAdapter(STACK.make, ops, StackModel,
-                               strict_exempt=("try_push",))
-    wl = {0: [("try_push", (10,))], 1: [("push", (20,))]}
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.lost = []
+
+    def cas(self, pid, cell, expected, new, note=None):
+        ok = super().cas(pid, cell, expected, new, note)
+        if not ok and cell is self.obj.top:
+            self.lost.append((pid, self.obj.snapshot()))
+        return ok
+
+
+def test_push_that_loses_its_central_cas_links_nothing(monkeypatch):
+    # pid 0 reads top and stops short of its CAS for some heads; pid 1's
+    # push then wins, and right after pid 0's lost CAS the stack holds only
+    # the winner's node.  Pid 0 then times out in the elimination layer and
+    # retries centrally.
+    from nvtrack import harness
+    monkeypatch.setattr(harness, "SimRuntime", _LossRuntime)
+    wl = {0: [("push", (10,))], 1: [("push", (20,))]}
     outcomes = set()
     for head in range(1, 8):
         quanta = ((0, head), (1, 100), (0, 100))
-        out = run_schedule(adapter, wl, Schedule(quanta))
-        r = {(e.pid, e.op): e.value for e in out.history if hasattr(e, "value")}
-        outcomes.add(r[(0, "try_push")])
-        contents = out.obj.snapshot()
-        if r[(0, "try_push")]:
-            assert sorted(contents) == [10, 20]
-        else:
-            assert contents == [20]   # loser left nothing behind
+        out = run_schedule(STACK, wl, Schedule(quanta))
+        assert all(loss == (0, [20]) for loss in out.rt.lost), out.rt.lost
+        outcomes.add(bool(out.rt.lost))
+        assert sorted(out.obj.snapshot()) == [10, 20]
     assert outcomes == {True, False}
 
 
@@ -365,6 +367,29 @@ def test_push_recover_reinvokes_after_failed_collision():
     assert stk.snapshot() == []
     assert rt.invoke(0, STACK.ops["push"], (10,)) is True
     assert stk.snapshot() == [10]               # re-invoked onto the stack
+
+
+def test_push_recover_reinvokes_after_push_push_collision():
+    # two pushes paired up: the exchanged value is the other push's, here
+    # True, which is not a response; recovery must run the push again
+    rt, stk, myop = _mid_visit_state(True)
+    rt.write(1, myop.result, True)
+    assert stk.push_recover(0, True) is REINVOKE
+    assert stk.quiescent_slots()
+    assert stk.snapshot() == []
+
+
+def test_pushes_of_true_that_collide_are_not_lost():
+    # the crash lands while pids 0 and 1, each pushing True, are colliding
+    # in the elimination layer; recovery finishes the collision, so each
+    # exchange record's result is the other push's True.  Both pushes must
+    # run again, or two pushes respond True while only one True is popped
+    wl = {pid: [("push", (True,)), ("pop", ())] for pid in range(3)}
+    out = run_schedule(STACK, wl,
+                       Schedule(pattern_quanta("rand2", 3, 1500, 2), (42,)),
+                       setup=(("push", (77,)),), step_budget=500)
+    assert any(isinstance(e, CrashEvent) for e in out.history)
+    assert check_nrl(out.history, StackModel((77,))).ok
 
 
 def test_pop_recover_returns_value_after_completed_push_collision():
