@@ -21,20 +21,24 @@ leave out, so a model need not yield the unchanged state for it; and
 Sweeps produce the same operation-level history many times over: crash runs
 that differ only in where the crash fell often fold into the same operation
 records.  ``check_nrl`` therefore keeps a bounded memo of OK verdicts, keyed
-on the model's type and its initial state with the types of its payloads,
-and on the history's *op shape* (:func:`op_shape`): its invocations
-``(pid, op, args)`` with the types of the arguments, responses ``(pid,
-type(value), value)`` and abandonments ``(pid,)`` in order, without
-crashes, recovery starts or times.  The memo is exact: ``extract_ops``
-reads nothing else from a history but event positions, and the search
-reads those only through the order of responses and invocations (``b.res <
-a.inv``), which the shape keeps; the type tags keep ``True`` and ``1``
-apart, as ``StackModel``'s pop and ``ExchangeModel`` do when they compare
-payloads.  Only the built-in models, whose behaviour is fixed by their type
-and ``initial``, are memoized, and only their OK verdicts: a VIOLATION or
-UNCHECKED verdict is always computed from the full history, so its witness
-names real event indices.  A history with an unhashable value is checked
-without the memo.
+on the model's type and initial state and the history's *op shape*
+(:func:`op_shape`): its invocations ``(pid, op, args)``, responses
+``(pid, type(value), value)`` and abandonments ``(pid,)`` in order, without
+crashes, recovery starts or times; for a stack or exchange model the key
+adds the types of the initial payloads and of every invocation argument.
+The memo is exact: ``extract_ops`` reads nothing else from a history but
+event positions, and the search reads those only through the order of
+responses and invocations (``b.res < a.inv``), which the shape keeps; the
+types keep ``True`` and ``1`` apart wherever the search does.  Only the
+built-in models, whose behaviour is fixed by their type and ``initial``,
+are memoized, and only their OK verdicts: a VIOLATION or UNCHECKED verdict
+is always computed from the full history, so its witness names real event
+indices.  A history with an unhashable value is checked without the memo.
+
+``StackModel`` and ``ExchangeModel`` compare payloads with ``==``; so that
+they and the search's set of visited pairs tell ``1`` from ``True``, the
+search first tags each non-``bool`` payload that equals a payload of
+another type in the same history or ``initial`` (see ``_typed``).
 
 ``check_strict_recoverability`` inspects the persisted-result snapshot the
 runtime records with every response: a completed update must have its
@@ -44,7 +48,8 @@ returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Any, Iterable, Optional, Sequence
 
 from .runtime import (
@@ -64,11 +69,6 @@ WILDCARD = _Sentinel("WILDCARD")
 # ---------------------------------------------------------------------------
 # Sequential models
 # ---------------------------------------------------------------------------
-
-def _same(a, b) -> bool:
-    """Equal payloads of the same type: ``1`` is not ``True``."""
-    return type(a) is type(b) and a == b
-
 
 class SetModel:
     """insert/delete/contains over a set of keys."""
@@ -104,7 +104,7 @@ class StackModel:
         if op == "pop":
             if not state:
                 return [state] if resp is EMPTY else []
-            return [state[:-1]] if resp is WILDCARD or _same(resp, state[-1]) else []
+            return [state[:-1]] if resp is WILDCARD or resp == state[-1] else []
         raise ValueError(f"unknown stack op {op}")
 
     def final_ok(self, state) -> bool:
@@ -130,8 +130,7 @@ class ExchangeModel:
         if state is None:
             return [(v, resp)]
         v0, r0 = state
-        if (r0 is WILDCARD or _same(r0, v)) and \
-                (resp is WILDCARD or _same(resp, v0)):
+        if (r0 is WILDCARD or r0 == v) and (resp is WILDCARD or resp == v0):
             return [None]
         return []
 
@@ -187,18 +186,17 @@ def extract_ops(history: Sequence) -> list[OpRecord]:
 
 def op_shape(history: Sequence) -> tuple:
     """The history's operation-level shape: one entry per invocation
-    ``(pid, op, args)``, followed by the type of each argument, response
-    ``(pid, type(value), value)`` and abandonment ``(pid,)``, in order,
-    classified as :func:`extract_ops` classifies them (no event class has
-    subclasses, so the exact class decides).  Histories with equal shapes
-    fold into the same operation records, up to event indices and the
-    ``recovered`` tag."""
+    ``(pid, op, args)``, response ``(pid, type(value), value)`` and
+    abandonment ``(pid,)``, in order, classified as :func:`extract_ops`
+    classifies them (no event class has subclasses, so the exact class
+    decides).  Histories with equal shapes fold into the same operation
+    records, up to event indices, the ``recovered`` tag and the types of
+    invocation arguments."""
     shape = []
     for ev in history:
         kind = type(ev)
         if kind is Invoke:
             shape.append((ev.pid, ev.op, ev.args))
-            shape += map(type, ev.args)
         elif kind is Response or kind is RecoverResponse:
             shape.append((ev.pid, type(ev.value), ev.value))
         elif kind is Abandoned:
@@ -221,9 +219,9 @@ class Verdict:
         return self.status == "OK"
 
 
-def _linearizable(ops: list[OpRecord], model) -> Optional[bool]:
-    """Whether ``ops`` linearize; None when the search would visit more than
-    ``BUDGET`` (done, state) pairs before it could tell."""
+def _linearizable(ops: list[OpRecord], initial, model) -> Optional[bool]:
+    """Whether ``ops`` linearize from ``initial``; None when the search would
+    visit more than ``BUDGET`` (done, state) pairs before it could tell."""
     n = len(ops)
     if n == 0:
         return True
@@ -236,7 +234,7 @@ def _linearizable(ops: list[OpRecord], model) -> Optional[bool]:
             if b.res is not None and b.res < a.inv:
                 pred[i] |= 1 << j
     seen = set()
-    stack = [(0, model.initial)]
+    stack = [(0, initial)]
     while stack:
         done, state = stack.pop()
         if (done, state) in seen:
@@ -261,8 +259,10 @@ def _linearizable(ops: list[OpRecord], model) -> Optional[bool]:
 BUDGET = 1_000_000
 #: most OK verdicts ``check_nrl`` keeps; the memo is emptied when it is full
 OK_MEMO_SIZE = 1024
-_ok_memo: dict = {}      # (model type, initial, op shape) -> inconclusive
+_ok_memo: dict = {}      # (model type, initial, op shape[, types]) -> inconclusive
 _MEMO_MODELS = (SetModel, StackModel, ExchangeModel)
+#: the models whose verdicts tell payloads of different types apart
+_TYPED_MODELS = (StackModel, ExchangeModel)
 
 
 def check_nrl(history: Sequence, model, *, _shape: Optional[tuple] = None) -> Verdict:
@@ -274,8 +274,12 @@ def check_nrl(history: Sequence, model, *, _shape: Optional[tuple] = None) -> Ve
     already (the harness's sweeps), so it is not computed twice."""
     key = None
     if type(model) in _MEMO_MODELS:
-        key = (type(model), model.initial, tuple(map(type, model.initial or ())),
+        key = (type(model), model.initial,
                op_shape(history) if _shape is None else _shape)
+        if type(model) in _TYPED_MODELS:
+            key += (tuple(map(type, model.initial or ())),
+                    tuple(type(a) for ev in history if type(ev) is Invoke
+                          for a in ev.args))
         try:
             inconclusive = _ok_memo.get(key)
         except TypeError:                  # an unhashable value: no memo
@@ -290,9 +294,31 @@ def check_nrl(history: Sequence, model, *, _shape: Optional[tuple] = None) -> Ve
     return verdict
 
 
+_TAG = _Sentinel("TYPED")
+
+
+def _typed(ops: list[OpRecord], model) -> tuple[list[OpRecord], Any]:
+    """``ops`` and ``model.initial``, where for a stack or exchange model
+    each non-``bool`` payload that equals one of another type among them is
+    ``(_TAG, type, value)`` everywhere it occurs."""
+    initial, kinds, mixed = model.initial, {}, set()
+    if isinstance(model, _TYPED_MODELS):
+        for v in chain(initial or (), *(o.args for o in ops), (o.resp for o in ops)):
+            if kinds.setdefault(v, type(v)) is not type(v):
+                mixed.add(v)
+    if not mixed:
+        return ops, initial
+
+    def tag(v):
+        return (_TAG, type(v), v) if type(v) is not bool and v in mixed else v
+
+    return ([replace(o, args=tuple(map(tag, o.args)), resp=tag(o.resp))
+             for o in ops], initial and tuple(map(tag, initial)))
+
+
 def _check(ops: list[OpRecord], model) -> Verdict:
     inconclusive = any(o.abandoned for o in ops)
-    found = _linearizable(ops, model)
+    found = _linearizable(*_typed(ops, model), model)
     if found is None:
         return Verdict("UNCHECKED", f"undecided after {BUDGET} pairs", True)
     if found:

@@ -330,6 +330,22 @@ def test_models_tell_a_true_payload_from_a_one():
     assert check_nrl(popped_one, StackModel((True,))).status == "VIOLATION"
 
 
+def test_search_does_not_prune_an_order_that_differs_by_payload_type():
+    # the search meets (done={both pushes}, state) first with state (True, 1),
+    # which dead-ends at the first pop; the state (1, True) it reaches next
+    # is equal under == but must still be searched
+    history = H(
+        Invoke(0, 0, "push", (1,)), Invoke(0, 1, "push", (True,)),
+        Response(1, 0, "push", True), Response(1, 1, "push", True),
+        Invoke(2, 0, "pop", ()), Response(3, 0, "pop", True),
+        Invoke(4, 0, "pop", ()), Response(5, 0, "pop", 1),
+    )
+    assert check_nrl(history, StackModel()).ok
+    assert check_nrl(history, StackModel((1,))).ok
+    assert check_nrl(history[:-1] + [Response(5, 0, "pop", True)],
+                     StackModel()).status == "VIOLATION"
+
+
 def test_violations_are_checked_afresh_from_each_history():
     lost = H(
         Invoke(0, 0, "insert", (5,)), Response(1, 0, "insert", True),
