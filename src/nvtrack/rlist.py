@@ -18,16 +18,19 @@ unchanged; it adds per-process tracking to the updates:
 ``flush_protocol=True`` adds the write-back ordering needed under a volatile
 cache, as in link-and-persist (David et al., USENIX ATC 2018): a link word
 carries a third bit, set by storing it as a :class:`PersistedRef` (a
-``MarkedRef`` subclass with no fields of its own, equal to the plain word of
-the same value), meaning its ``(ref, marked)`` value was flushed before the
-bit was set.  A traversal that reads a word without the bit flushes the
-word's cell and then sets the bit with a CAS; every CAS that changes a link
-stores a plain ``MarkedRef``, which clears it.  Both flush walks, ``find``
-and ``search``, are the baseline's walks plus one flag test per hop: they
-read the same cells and compare each key as often, and flush only the
-links nobody has persisted yet.  Losing the bit (a failed flag CAS) costs
-one redundant flush later, never durability.  Every checkpoint/result/
-deleter write is flushed immediately.
+``MarkedRef`` subclass, equal to the plain word of the same value), meaning
+its ``(ref, marked)`` value was flushed before the bit was set.  A traversal
+that reads a word without the bit flushes the word's cell and then sets the
+bit with a CAS; every CAS that changes a link stores a plain ``MarkedRef``,
+which clears it.  A flagged, unmarked word is ``settled``: the one field a
+``PersistedRef`` adds, which every plain word reads as False from its class.
+At a settled word a walk has nothing to flush, flag or unlink, so both flush
+walks, ``find`` and ``search``, test ``settled`` where the baseline's search
+tests ``marked``, and test the flag and the mark only at a word that is not
+settled.  They read the same cells and compare each key as often as the
+baseline's walks, and flush only the links nobody has persisted yet.
+Losing the bit (a failed flag CAS) costs one redundant flush later, never
+durability.  Every checkpoint/result/deleter write is flushed immediately.
 """
 
 from __future__ import annotations
@@ -123,9 +126,15 @@ class BaselineList(Structure):
 class PersistedRef(MarkedRef):
     """A link word whose ``(ref, marked)`` value was flushed before it was
     stored in this flagged form.  It compares equal to the ``MarkedRef`` of
-    the same value, so a CAS expecting the plain word matches it."""
+    the same value, so a CAS expecting the plain word matches it.  It is
+    ``settled`` if it is also unmarked: a walk passing it has nothing to
+    flush, flag or unlink."""
 
-    __slots__ = ()
+    __slots__ = ("settled",)
+
+    def __init__(self, ref, marked: bool) -> None:
+        MarkedRef.__init__(self, ref, marked)
+        self.settled = not marked
 
 
 class ListNode:
@@ -180,17 +189,19 @@ class RecoverableList(BaselineList):
             return super().find(p, key)
         m = self.m
         curr = self.head
-        while curr.key < key:      # the baseline's walk, plus the flag test
+        while curr.key < key:      # the baseline's walk; a settled word is flagged
             word = m.read(p, curr.next)
-            if type(word) is not PersistedRef:
+            if not word.settled and type(word) is not PersistedRef:
                 self._flag(p, curr.next, word)
             curr = word.ref
         if curr.key != key:
             return False
         word = m.read(p, curr.next)
-        if type(word) is not PersistedRef:
-            self._flag(p, curr.next, word)
-        return not word.marked
+        if not word.settled:
+            if type(word) is not PersistedRef:
+                self._flag(p, curr.next, word)
+            return not word.marked
+        return True                # a settled word is unmarked
 
     def search(self, p, key):
         """The baseline's search, or under the flush protocol the same walk
@@ -202,23 +213,24 @@ class RecoverableList(BaselineList):
         while True:
             pred = self.head
             word = m.read(p, pred.next)
-            if type(word) is not PersistedRef:
+            if not word.settled and type(word) is not PersistedRef:
                 self._flag(p, pred.next, word)
             curr = word.ref
             while True:
                 succ = m.read(p, curr.next)
-                if type(succ) is not PersistedRef:
-                    self._flag(p, curr.next, succ)
-                if succ.marked:
-                    if not m.cas(p, pred.next, MarkedRef(curr, False),
-                                 MarkedRef(succ.ref, False), "unlink"):
-                        break                    # pred changed: restart
-                    curr = succ.ref
-                else:
-                    if curr.key >= key:
-                        return pred, curr
-                    pred = curr
-                    curr = succ.ref
+                if not succ.settled:   # unflagged or marked: the slow hop
+                    if type(succ) is not PersistedRef:
+                        self._flag(p, curr.next, succ)
+                    if succ.marked:
+                        if not m.cas(p, pred.next, MarkedRef(curr, False),
+                                     MarkedRef(succ.ref, False), "unlink"):
+                            break                # pred changed: restart
+                        curr = succ.ref
+                        continue
+                if curr.key >= key:
+                    return pred, curr
+                pred = curr
+                curr = succ.ref
 
     # -- updates ------------------------------------------------------------
 

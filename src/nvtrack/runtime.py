@@ -99,10 +99,13 @@ class MarkedRef:
 
     A slotted value, not a tuple (see the module docstring): words with the
     same ``ref`` and ``marked`` are equal and hash alike, and nothing writes
-    a word's fields after ``__init__``.
+    a word's fields after ``__init__``.  ``settled`` is a class attribute,
+    False for every plain word; a subclass may make it a field (the
+    list-flush's ``PersistedRef``), so a traversal tests one field per hop.
     """
 
     __slots__ = ("ref", "marked")
+    settled = False
 
     def __init__(self, ref: Any, marked: bool) -> None:
         self.ref = ref

@@ -266,21 +266,42 @@ def test_traversal_persists_unflushed_nodes_it_passes(tracing):
     assert saw_reader_flag
 
 
-def test_second_find_over_unchanged_flush_list_makes_no_flush_or_cas(tracing):
-    steps = {}
+def test_only_an_unmarked_flagged_word_is_settled():
+    node = object()
+    words = (MarkedRef(node, False), MarkedRef(node, True),
+             PersistedRef(node, False), PersistedRef(node, True))
+    assert [w.settled for w in words] == [False, False, True, False]
+    assert [(w.ref, w.marked) for w in words] == [(node, False), (node, True)] * 2
+    assert MarkedRef.__slots__ == ("ref", "marked")   # a plain word holds no flag
+
+
+def test_flush_walks_over_flagged_links_read_what_list_rec_reads(counting_runtime):
+    class CellReads(counting_runtime):
+        def read(self, pid, cell):
+            self.cells.append(cell)
+            return super().read(pid, cell)
+
+    keys, reads = (0, 3, 5, 7, 9, 11), {}
     for fp in (False, True):
-        rt = tracing(1, cache="volatile" if fp else "durable")
-        lst = RecoverableList(rt, flush_protocol=fp)
+        rt = CellReads(1, cache="volatile" if fp else "durable")
+        rt.cells = []
+        lst = rt.bind(RecoverableList(rt, flush_protocol=fp))
         for k in (3, 5, 9):
             lst.insert(0, k)
-        for k in (5, 7, 11):
-            lst.find(0, k)
-        rt.trace.clear()
-        before = rt.steps
-        assert [lst.find(0, k) for k in (5, 7, 11)] == [True, False, False]
-        steps[fp] = rt.steps - before
-        assert {e[0] for e in rt.trace} <= {"read"}
-    assert steps[True] == steps[False]
+        lst.find(0, KEY_MAX)                      # flags every link, the tail's too
+        owner, node = {}, lst.head
+        while node is not None:
+            owner[id(node.next)] = node.key
+            assert node.next.v.settled is fp
+            node = node.next.v.ref
+        rt.counts.clear()
+        rt.cells = []
+        assert [lst.find(0, k) for k in keys] == [False, True, True, False, True, False]
+        assert [tuple(n.key for n in lst.search(0, k)) for k in keys] == [
+            (KEY_MIN, 3), (KEY_MIN, 3), (3, 5), (5, 9), (5, 9), (9, KEY_MAX)]
+        assert dict(rt.counts) == {"read": len(rt.cells)}    # no flush, no CAS
+        reads[fp] = [owner[id(cell)] for cell in rt.cells]
+    assert reads[True] == reads[False]
 
 
 @pytest.mark.parametrize("flush_protocol", [False, True], ids=["list", "list-flush"])
@@ -352,6 +373,25 @@ def test_flush_variant_persists_mark_before_unlink():
         setup=(("insert", (5,)),), model_initial={5}, patterns=("rand0",),
         seed=305, step_budget=600, cache="volatile")
     assert report.passed, report.violations[:1]
+
+
+def test_flush_list_lookups_are_checked_under_double_crashes():
+    # the CLI's default workloads hold no lookup, so this sweep is the one
+    # whose checked histories include find responses, both present and
+    # absent; a find that answered True at a marked word fails it
+    found = set()
+
+    def lookups(out):
+        found.update(e.value for e in out.history
+                     if type(e) is Response and e.op == "find")
+
+    report = detectability_sweep(
+        FLUSH_LIST, {0: [("insert", (7,)), ("delete", (5,))],
+                     1: [("delete", (7,)), ("find", (7,))]},
+        setup=(("insert", (5,)),), model_initial={5}, max_crashes=2,
+        step_budget=500, cache="volatile", check_responses=lookups)
+    assert report.passed, report.violations[:1]
+    assert found == {True, False}
 
 
 # -- pinned lookup traces of the flush list ---------------------------------

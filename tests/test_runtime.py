@@ -69,24 +69,33 @@ def test_link_word_is_a_value_not_a_tuple():
     assert repr(PersistedRef(1, False)) == "PersistedRef(ref=1, marked=False)"
 
 
+WORD_FIELDS = {"ref": "MarkedRef", "marked": "MarkedRef", "settled": "PersistedRef"}
+
+
 def _word_field_stores(tree):
-    """Lines that store to, or delete, an attribute named ``ref`` or
-    ``marked`` outside ``MarkedRef.__init__``."""
-    init = set()
+    """Lines that store to, or delete, a link word's field (``ref``,
+    ``marked`` or ``settled``) outside the ``__init__`` of the word class
+    whose slot it is."""
+    init = {}
     for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and cls.name == "MarkedRef":
+        if isinstance(cls, ast.ClassDef) and cls.name in WORD_FIELDS.values():
             for fn in cls.body:
                 if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
-                    init.update(map(id, ast.walk(fn)))
+                    init.update(dict.fromkeys(map(id, ast.walk(fn)), cls.name))
     return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in ("ref", "marked")
-            and isinstance(node.ctx, (ast.Store, ast.Del)) and id(node) not in init]
+            if isinstance(node, ast.Attribute) and node.attr in WORD_FIELDS
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and init.get(id(node)) != WORD_FIELDS[node.attr]]
 
 
 def test_no_code_mutates_a_link_word():
     # every cell holding a word shares the one object, so a write to a
-    # word's field would change every cell that holds it
-    assert _word_field_stores(ast.parse("w.marked = True\ndel w.ref")) == [1, 2]
+    # word's field would change every cell that holds it; a PersistedRef
+    # sets its ref and marked through MarkedRef.__init__
+    assert _word_field_stores(ast.parse(
+        "w.marked = True\ndel w.ref\nw.settled = False\nMarkedRef.settled = True\n"
+        "class PersistedRef:\n    def __init__(self, r):\n"
+        "        self.ref = r\n        self.settled = True\n")) == [1, 2, 3, 4, 7]
     found = [f"{path.name}:{line}"
              for path in sorted(pathlib.Path(nvtrack.__file__).parent.glob("*.py"))
              for line in _word_field_stores(ast.parse(path.read_text()))]
