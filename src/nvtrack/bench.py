@@ -1,10 +1,12 @@
 """Throughput benchmarks on the native backend.
 
-The default protocol: prefill the structure, then spawn ``threads`` workers
-that each execute their share of ``total_ops`` operations drawn from a seeded
-stream (``read_pct`` lookups, the remainder split evenly between inserts and
-deletes, keys uniform in ``[key_lo, key_hi]``).  Throughput is total
-completed operations over wall time; runs are repeated and averaged.
+One protocol, the paper's: prefill the structure with ``PREFILL`` inserts,
+then spawn ``threads`` workers that each execute their share of
+``total_ops`` operations drawn from a seeded stream (``read_pct`` lookups,
+the remainder split evenly between inserts and deletes, keys uniform in
+``[KEY_LO, KEY_HI]``).  Throughput is total completed operations over wall
+time; runs are repeated and averaged.  ``seed`` picks a sample of the
+protocol, and is how a run is repeated.
 
 ``timing="steps"`` replaces wall time with the simulated backend's
 shared-access count (single-threaded only), which makes the emitted CSV
@@ -22,8 +24,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .rbst import BaselineBst, INF1, RecoverableBst
-from .rlist import BaselineList, KEY_MAX, KEY_MIN, RecoverableList
+from .rbst import BaselineBst, RecoverableBst
+from .rlist import BaselineList, RecoverableList
 from .rstack import BaselineStack, EliminationStack
 from .runtime import NativeRuntime, SimRuntime
 
@@ -44,6 +46,7 @@ VARIANTS = tuple(dict.fromkeys(v for _, v in BUILDERS))
 TIMINGS = ("wall", "steps")
 
 FIND, INSERT, DELETE = 0, 1, 2
+KEY_LO, KEY_HI, PREFILL = 1, 500, 250      # the paper's protocol
 _SIM_STEP_SECONDS = 1e-7     # steps-timing mode: one shared access = 100ns
 
 
@@ -57,10 +60,7 @@ class BenchConfig:
     variant: str = "recoverable"
     threads: int = 8
     total_ops: int = 1_000_000
-    key_lo: int = 1
-    key_hi: int = 500
     read_pct: int = 30
-    prefill: int = 250
     runs: int = 10
     seed: int = 42
     timing: str = "wall"            # one of TIMINGS
@@ -72,17 +72,11 @@ class BenchConfig:
                               f"structure/variant must be one of: {pairs}")
         if self.threads < 1 or self.total_ops < 1 or self.runs < 1:
             raise ConfigError("threads, total_ops and runs must be positive")
-        if self.prefill < 0:
-            raise ConfigError("prefill must not be negative")
         if not 0 <= self.read_pct <= 100:
             raise ConfigError("read_pct must be in [0, 100]")
         if self.structure == "stack" and self.read_pct != 0:
             raise ConfigError("the stack has no read operation; use "
                               "--read-pct 0 for stack benchmarks")
-        if not KEY_MIN < self.key_lo <= self.key_hi < min(KEY_MAX, INF1):
-            raise ConfigError("key range must fit in the user key domain"
-                              if self.key_lo <= self.key_hi
-                              else "key_lo must not exceed key_hi")
         if self.timing not in TIMINGS:
             raise ConfigError(f"timing must be one of {TIMINGS}")
         if self.timing == "steps" and self.threads != 1:
@@ -115,7 +109,7 @@ def op_stream(cfg: BenchConfig, run: int, tid: int, count: int) -> list:
     ops = []
     for _ in range(count):
         r = rng.random() * 100.0
-        key = rng.randint(cfg.key_lo, cfg.key_hi)
+        key = rng.randint(KEY_LO, KEY_HI)
         if r < cfg.read_pct:
             ops.append((FIND, key))
         elif r < cfg.read_pct + (100.0 - cfg.read_pct) / 2.0:
@@ -138,8 +132,8 @@ def _op_table(cfg: BenchConfig, structure) -> dict:
 def _prefill(cfg: BenchConfig, structure) -> None:
     insert = _op_table(cfg, structure)[INSERT]       # push, for the stack
     rng = random.Random(f"{cfg.seed}:prefill")
-    for _ in range(cfg.prefill):
-        insert(0, rng.randint(cfg.key_lo, cfg.key_hi))
+    for _ in range(PREFILL):
+        insert(0, rng.randint(KEY_LO, KEY_HI))
 
 
 def _worker(cfg, rt, table, ops, pid) -> None:

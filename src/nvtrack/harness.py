@@ -144,12 +144,13 @@ class Schedule:
 
 @functools.lru_cache(maxsize=32)
 def pattern_quanta(pattern: str, pids: int, length: int, seed: int = 0) -> tuple:
-    """Named base interleavings: rr<k> (round robin, quantum k), block
-    (each pid runs to completion in order), rand (seeded shuffle).  Cached:
-    the result is immutable, and a seeded ``rand`` pattern takes a few
-    milliseconds to draw."""
-    if pattern.startswith("rr"):
-        q = int(pattern[2:] or 1)
+    """Named base interleavings: rr<k> (round robin, quantum k, a positive
+    integer; rr is rr1), block (each pid runs to completion in order), rand
+    (seeded shuffle).  Cached: the result is immutable, and a seeded
+    ``rand`` pattern takes a few milliseconds to draw."""
+    digits = pattern[2:] or "1"
+    if pattern.startswith("rr") and digits.isdecimal() and int(digits) > 0:
+        q = int(digits)
         reps = length // (q * pids) + 2
         return tuple((pid, q) for _ in range(reps) for pid in range(pids))
     if pattern == "block":
@@ -425,8 +426,9 @@ def enumerate_crash_points(adapter: StructureAdapter, workload: dict, *,
     ``_crash_runs``), so each crash run's ``rt`` and ``obj`` are valid only
     until the next outcome is requested; its history stays valid.  A run
     that raises is yielded with an empty history and the traceback in
-    ``error``; when the zero-crash run raises, that pattern's crash points
-    are skipped.
+    ``error``.  A pattern whose zero-crash run raises or is inconclusive
+    gets no crash runs: the unbounded exchanger's ``block`` probe always
+    is, since pid 0 waits alone until its step budget runs out.
     """
     nprocs = max(workload) + 1 if workload else 1
     rng = random.Random(seed)

@@ -539,7 +539,9 @@ class SimRuntime:
          self._op_index, self._procs, self._at, self.live) = saved
         if rng is None:
             self._rng = None
-        else:
+        else:                  # an earlier restore may have dropped the rng
+            if self._rng is None:
+                self._rng = random.Random()
             self._rng.setstate(rng)
         for cell, v, p in zip(cells, vs, ps):
             cell.v, cell.p = v, p
@@ -549,12 +551,6 @@ class SimRuntime:
         self._granted = None
 
     # -- operations ---------------------------------------------------------
-
-    def _persisted_result(self, pid: int) -> Any:
-        rd = self.rd[pid].p
-        if isinstance(rd, InfoRecord):
-            return rd.result.p
-        return UNSET
 
     def _run_op(self, pid: int, opdef: OpDef, args: tuple, recovering: bool) -> Any:
         """Run one call (or, if ``recovering``, one recovery) of ``opdef``
@@ -577,8 +573,10 @@ class SimRuntime:
             if self._record:
                 self.history.append(Abandoned(self.steps, pid, opdef.name))
             raise
-        if self._record:
-            snap = self._persisted_result(pid) if opdef.is_update else UNSET
+        if self._record:       # the persisted result, as strict recoverability reads it
+            rd = self.rd[pid].p
+            snap = (rd.result.p if opdef.is_update and isinstance(rd, InfoRecord)
+                    else UNSET)
             if recovering:
                 self.history.append(
                     RecoverResponse(self.steps, pid, opdef.name, resp, snap))

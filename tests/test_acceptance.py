@@ -378,8 +378,8 @@ def _bench_medians(read_pct) -> list:
         k = r % len(LIST_VARIANTS)
         for variant, structure in LIST_VARIANTS[k:] + LIST_VARIANTS[:k]:
             cfg = BenchConfig(structure=structure, variant=variant, threads=8,
-                              total_ops=24_000, key_lo=1, key_hi=500,
-                              read_pct=read_pct, prefill=250, runs=1, seed=42)
+                              total_ops=24_000, read_pct=read_pct, runs=1,
+                              seed=42)
             mops[variant, structure].append(run_benchmark(cfg).mean_mops)
     return [statistics.median(mops[v]) for v in LIST_VARIANTS]
 

@@ -26,6 +26,7 @@ from nvtrack.harness import (
 from nvtrack.rbst import BaselineBst
 from nvtrack.rlist import BaselineList
 from nvtrack.rstack import BaselineStack
+from nvtrack.runtime import EMPTY, NativeRuntime, SimRuntime
 
 SEEDS = range(20)
 STEP_BUDGET = 600
@@ -57,3 +58,12 @@ def test_baseline_histories_linearize_under_contention(name):
             assert not out.inconclusive, (seed, pattern)
             verdict = check_nrl(out.history, adapter.model(initial))
             assert verdict.ok, (seed, pattern, verdict.detail)
+
+
+@pytest.mark.parametrize("runtime", [NativeRuntime, SimRuntime])
+def test_baseline_stack_pop_on_an_empty_stack_returns_empty(runtime):
+    stack = BaselineStack(runtime(1))
+    assert stack.pop(0) is EMPTY
+    assert stack.push(0, 3) is True
+    assert stack.pop(0) == 3
+    assert stack.pop(0) is EMPTY

@@ -23,8 +23,7 @@ from nvtrack.runtime import NativeRuntime
 
 def small(**kw):
     base = dict(structure="list", variant="recoverable", threads=1,
-                total_ops=400, key_lo=1, key_hi=40, read_pct=30,
-                prefill=20, runs=1, seed=7)
+                total_ops=400, read_pct=30, runs=1, seed=7)
     base.update(kw)
     return BenchConfig(**base)
 
@@ -44,16 +43,6 @@ def test_validation_rejects_bad_read_pct_and_stack_reads():
 def test_validation_rejects_steps_timing_with_threads():
     with pytest.raises(ConfigError, match="single-threaded"):
         small(timing="steps", threads=2).validate()
-
-
-def test_validation_rejects_out_of_domain_keys():
-    with pytest.raises(ConfigError, match="key range"):
-        small(key_lo=0, key_hi=2 ** 63 - 1).validate()
-
-
-def test_validation_names_an_empty_key_range():
-    with pytest.raises(ConfigError, match="^key_lo must not exceed key_hi$"):
-        small(key_lo=3, key_hi=2).validate()
 
 
 def test_op_streams_are_a_pure_function_of_seed():

@@ -18,8 +18,7 @@ from nvtrack.runtime import REINVOKE
 def test_bench_defaults_mirror_reference_protocol():
     cfg = BenchConfig()
     assert cfg.total_ops == 1_000_000
-    assert (cfg.key_lo, cfg.key_hi) == (1, 500)
-    assert cfg.prefill == 250
+    assert (bench.KEY_LO, bench.KEY_HI, bench.PREFILL) == (1, 500, 250)
     assert cfg.runs == 10
     assert cfg.seed == 42
 
@@ -67,8 +66,7 @@ def test_bench_rejects_a_name_outside_the_variant_table(capsys, flag, value):
 def test_bench_subcommand_prints_csv(capsys):
     rc = main(["bench", "--structure", "list", "--variant", "base",
                "--threads", "1", "--ops", "300", "--runs", "1",
-               "--key-lo", "1", "--key-hi", "30", "--read-pct", "30",
-               "--prefill", "10", "--seed", "3"])
+               "--read-pct", "30", "--seed", "3"])
     out = capsys.readouterr().out
     assert rc == 0
     lines = out.strip().splitlines()
@@ -82,17 +80,15 @@ def test_bench_subcommand_rejects_bad_config(capsys):
     assert "flush" in capsys.readouterr().err
 
 
-def test_bench_subcommand_rejects_a_negative_prefill(capsys):
-    rc = main(["bench", "--prefill", "-3"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: prefill ")
-
-
-def test_bench_rejects_an_empty_key_range_as_such(bench_configs, capsys):
-    rc = main(["bench", "--key-lo", "3", "--key-hi", "2"])
-    assert rc == 2
+@pytest.mark.parametrize("flag,value", [
+    ("--key-lo", "1"), ("--key-hi", "9"), ("--prefill", "3")])
+def test_bench_has_no_key_range_or_prefill_flag(bench_configs, capsys, flag,
+                                                value):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", flag, value])
+    assert exc.value.code == 2
     assert bench_configs == []
-    assert capsys.readouterr().err == "error: key_lo must not exceed key_hi\n"
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_bench_rejects_an_unwritable_output_before_running(bench_configs,
@@ -137,8 +133,7 @@ def test_bench_validates_every_config_before_the_first_run(bench_configs, capsys
 def test_bench_two_variants_emit_comparable_rows(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
-    common = ["--threads", "1", "--ops", "300", "--runs", "1",
-              "--key-hi", "30", "--prefill", "10"]
+    common = ["--threads", "1", "--ops", "300", "--runs", "1"]
     assert main(["bench", "--variant", "base", "--output", str(out_a)]
                 + common) == 0
     assert main(["bench", "--variant", "recoverable", "--output", str(out_b)]
@@ -203,6 +198,28 @@ def test_verify_prints_each_violation_of_a_failing_sweep(capsys, monkeypatch):
     for i in headers:
         assert lines[i + 1] == "no linearization order exists for:"
         assert "insert(7,) -> False" in "".join(lines[i + 2:i + 4])
+
+
+def test_verify_prints_each_strict_recoverability_violation(capsys, monkeypatch):
+    # insert never persists a True result
+    from test_checker import _LossyList as _UnpersistedList
+    monkeypatch.setitem(harness.STRUCTURES, "list", harness.StructureAdapter(
+        _UnpersistedList,
+        harness.structure_ops(_UnpersistedList, "insert", "delete", "find"),
+        SetModel))
+    rc = main(["verify", "--structure", "list", "--pids", "2",
+               "--ops-per-pid", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    found = re.match(r"FAIL list\.detectability: .* 0 linearizability "
+                     r"violations, (\d+) strict-recoverability violations$", lines[0])
+    assert found and int(found.group(1)) > 0
+    headers = [i for i, line in enumerate(lines)
+               if re.fullmatch(r"--- strict-recoverability violation \[\S+\] ---", line)]
+    assert len(headers) == int(found.group(1))
+    for i in headers:
+        assert re.fullmatch(r"event \d+: p\d insert returned True but persisted "
+                            r"result is UNSET", lines[i + 1])
 
 
 def test_verify_checks_every_set_up_before_the_first_sweep(capsys):

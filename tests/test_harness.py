@@ -241,6 +241,18 @@ def test_pattern_quanta_rejects_unknown():
         pattern_quanta("zigzag", 2, 10)
 
 
+@pytest.mark.parametrize("pattern", ["rr0", "rr-1", "rrx", "rr+2", "rr 2", "rr1.5"])
+def test_pattern_quanta_rejects_a_round_robin_quantum_that_is_not_positive(pattern):
+    with pytest.raises(ValueError) as exc:
+        pattern_quanta(pattern, 2, 10)
+    assert str(exc.value) == f"unknown pattern {pattern}"
+
+
+def test_round_robin_pattern_defaults_to_quantum_one():
+    assert pattern_quanta("rr", 2, 10) == pattern_quanta("rr1", 2, 10)
+    assert set(pattern_quanta("rr12", 2, 10)) == {(0, 12), (1, 12)}
+
+
 def test_crash_starts_recoveries_in_pid_order_at_the_crash_time():
     wl = {0: [("insert", (5,))], 1: [("insert", (7,))], 2: [("insert", (9,))]}
     quanta = pattern_quanta("rr1", 3, 500)
@@ -347,6 +359,15 @@ def test_errored_run_traceback_points_at_the_op_source_line():
                                  patterns=("rr1",))
     [(_, detail)] = report.violations
     assert f'test_harness.py", line {start + 2}, in boom' in detail
+
+
+def test_a_history_its_response_check_flags_fails_the_sweep():
+    flagged = "rr2/no-crash"
+    report = detectability_sweep(
+        LIST, TWO_INSERTS, patterns=("rr1", "rr2"),
+        check_responses=lambda out: "flagged" if out.label == flagged else None)
+    assert report.violations == [(flagged, "flagged")]
+    assert report.ok == report.total > 2 and not report.passed
 
 
 @pytest.mark.parametrize("name,pids,ops,seed", [("list", 2, 2, 1), ("stack", 3, 2, 0)])

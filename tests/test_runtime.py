@@ -187,6 +187,32 @@ def test_survival_is_deterministic(survival, kept):
         assert _survivors(survival, 7) == _survivors(survival, 8) == kept
 
 
+def _survivors_of_a_second_crash(detour):
+    """The cells after a second survival crash; with ``detour``, the run
+    between the crashes is saved (B), a save from before the first crash
+    (A) is restored, and then B is."""
+    rt = SimRuntime(1, cache="volatile", survival=0.5, seed=3)
+    cells = [rt.new_cell(0) for _ in range(32)]
+    a = rt.save()
+    for c in cells:
+        rt.write(0, c, 1)
+    rt.crash()
+    if detour:
+        b = rt.save()
+        rt.restore(a)                 # A holds no rng: none was drawn yet
+        rt.restore(b)
+    for c in cells:
+        rt.write(0, c, 2)
+    rt.crash()
+    return [c.v for c in cells]
+
+
+def test_a_save_after_a_survival_crash_restores_its_rng():
+    kept = _survivors_of_a_second_crash(detour=True)
+    assert kept == _survivors_of_a_second_crash(detour=False)
+    assert 2 in kept and kept.count(2) < len(kept)     # the crash drew
+
+
 def test_crash_survival_argument_holds_for_that_crash_only():
     rt = SimRuntime(1, cache="volatile")
     c = rt.new_cell(0)
